@@ -28,6 +28,8 @@ from .errors import (
     ExactLexError,
     InfeasibleMarginalsError,
     IngestionError,
+    InvalidParameterError,
+    NegativeCountError,
     NoObservationsError,
     UndefinedStatisticError,
 )

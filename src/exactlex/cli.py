@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 data/domain error (one-line diagnostic on stderr),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -91,6 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("tea", help="the built-in tea-tasting demo tables")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs about a millisecond, most of a small `test`
+    # call. Sharing one is safe: parse_args returns a fresh namespace, and no
+    # handler mutates the default lists it may hold.
+    return build_parser()
 
 
 def _tokenizer_config(args) -> TokenizerConfig:
@@ -277,7 +286,7 @@ def _cmd_tea(args, out) -> int:
 
 def run_command(argv: list[str], out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "test": _cmd_test,
         "assoc": _cmd_assoc,

@@ -9,6 +9,14 @@ class EmptyTableError(ExactLexError):
     """Raised when all four cells of a contingency table are zero."""
 
 
+class NegativeCountError(ExactLexError):
+    """Raised when a contingency table cell is negative."""
+
+
+class InvalidParameterError(ExactLexError):
+    """Raised when a sampling model or simulation parameter is outside its domain."""
+
+
 class InfeasibleMarginalsError(ExactLexError):
     """Raised when a requested marginal total exceeds the sample size."""
 

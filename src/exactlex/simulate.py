@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotic
-from .errors import DegenerateTableError, UndefinedStatisticError
-from .exact import FisherResult, fisher_from_dist, hypergeom_distribution
+from .errors import DegenerateTableError, InvalidParameterError, UndefinedStatisticError
+from .exact import FisherResult, _fisher_distribution, fisher_from_dist
 from .tables import ContingencyTable2x2
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -36,9 +36,9 @@ class MultinomialModel:
     def __post_init__(self) -> None:
         probs = (self.p11, self.p12, self.p21, self.p22)
         if any(p < 0 or p > 1 for p in probs):
-            raise ValueError(f"cell probabilities must be in [0, 1]: {probs}")
+            raise InvalidParameterError(f"cell probabilities must be in [0, 1]: {probs}")
         if abs(sum(probs) - 1.0) > 1e-12:
-            raise ValueError(f"cell probabilities must sum to 1: {probs}")
+            raise InvalidParameterError(f"cell probabilities must sum to 1: {probs}")
 
     @classmethod
     def independent(cls, p_row: float, p_col: float) -> "MultinomialModel":
@@ -113,7 +113,7 @@ def sample_table(model: MultinomialModel, n_total: int,
                  rng: np.random.Generator) -> ContingencyTable2x2:
     """One multinomial draw of a 2x2 table; counts always sum to n_total."""
     if n_total < 1:
-        raise ValueError(f"sample size must be >= 1, got {n_total}")
+        raise InvalidParameterError(f"sample size must be >= 1, got {n_total}")
     n11, n12, n21, n22 = (int(c) for c in rng.multinomial(n_total, model.probs))
     return ContingencyTable2x2(n11, n12, n21, n22)
 
@@ -124,7 +124,7 @@ def _fisher_cached(table: ContingencyTable2x2, cache: dict) -> FisherResult:
     key = (table.total, table.row1, table.col1)
     dist = cache.get(key)
     if dist is None:
-        dist = hypergeom_distribution(*key)
+        dist = _fisher_distribution(*key)
         cache[key] = dist
     return fisher_from_dist(dist, table.n11)
 
@@ -142,8 +142,10 @@ def calibration(
     the exact test (whose p-values are 1 there) and are excluded from the
     asymptotic tallies, per each test's own error rules.
     """
+    if n_total < 1:
+        raise InvalidParameterError(f"sample size must be >= 1, got {n_total}")
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     alphas = tuple(alphas)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = rng.multinomial(n_total, model.probs, size=trials)

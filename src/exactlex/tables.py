@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import EmptyTableError
+from .errors import EmptyTableError, NegativeCountError
 
 SMALL_EXPECTED_THRESHOLD = 5.0
 SMALL_EXPECTED_WARN_PCT = 20.0
@@ -38,7 +38,7 @@ class ContingencyTable2x2:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+                raise NegativeCountError(f"{name} must be nonnegative, got {value}")
         if self.n11 + self.n12 + self.n21 + self.n22 == 0:
             raise EmptyTableError("empty table: all four cells are zero")
 

@@ -147,3 +147,26 @@ def test_simulate_requires_model(capsys):
 def test_missing_input_file_exits_1(capsys):
     status, _ = run(["count", "--input", "/nonexistent/file.txt"])
     assert status == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p-row", "2", "--p-col", "0.1", "--n", "10", "--trials", "5"],
+    ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "-1", "--trials", "5"],
+    ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "10", "--trials", "0"],
+    ["test", "--n11", "-1", "--n12", "1", "--n21", "1", "--n22", "1"],
+])
+def test_domain_errors_exit_1_with_one_line(argv, capsys):
+    status, text = run(argv)
+    err = capsys.readouterr().err
+    assert status == 1
+    assert text == ""
+    assert len(err.splitlines()) == 1 and err.startswith("exactlex: ")
+
+
+def test_repeated_calls_share_no_parsed_state():
+    argv = ["simulate", "--p-row", "0.2", "--p-col", "0.2", "--n", "50", "--trials", "20"]
+    for extra, alphas in ((["--alpha", "0.2"], [0.2]), (["--alpha", "0.2"], [0.2]),
+                          ([], [0.01, 0.05, 0.10])):
+        status, text = run(argv + extra)
+        assert status == 0
+        assert json.loads(text)["alphas"] == alphas

@@ -12,6 +12,7 @@ from exactlex import (
     make_table,
     transpose,
 )
+from exactlex.exact import WINDOW_NATS, _fisher_distribution, fisher_from_dist
 from oracles import rational_fisher, rational_pmf
 
 
@@ -156,3 +157,75 @@ def test_transpose_invariance():
         t = make_table(*cells)
         a, b = fisher_exact(t), fisher_exact(transpose(t))
         assert a == b
+
+
+def _assert_window_matches_full(n, r1, c1, n11s):
+    """fisher_exact on the window equals full enumeration to the bit, and
+    the window's terms are the full enumeration's floats."""
+    full = hypergeom_distribution(n, r1, c1)
+    win = _fisher_distribution(n, r1, c1)
+    off = win.support_lo - full.support_lo
+    assert np.array_equal(win.log_pmf, full.log_pmf[off : off + len(win.log_pmf)])
+    for n11 in n11s:
+        t = make_table(n11, r1 - n11, c1 - n11, n - r1 - c1 + n11)
+        assert fisher_exact(t) == fisher_from_dist(full, n11)
+    return win
+
+
+@given(st.integers(1, 10**9), st.data())
+@settings(max_examples=100, deadline=None)
+def test_windowed_fisher_equals_full_enumeration(n, data):
+    # Either r1 or its complement is small, which keeps the support <= 5e4.
+    small = data.draw(st.integers(0, min(n, 5 * 10**4)))
+    r1 = data.draw(st.sampled_from([small, n - small]))
+    c1 = data.draw(st.integers(0, n))
+    lo, hi = max(0, r1 + c1 - n), min(r1, c1)
+    mode = (r1 + 1) * (c1 + 1) // (n + 2)
+    n11s = {lo, hi, mode, data.draw(st.integers(lo, hi))}
+    _assert_window_matches_full(n, r1, c1, n11s)
+
+
+@pytest.mark.parametrize("cells", [
+    (17, 229, 935, 1_381_647),
+    (50, 19_950, 199_950, 10**7 - 219_950),
+    (500, 199_500, 1_999_500, 10**9 - 2_198_500),
+])
+def test_windowed_fisher_at_the_three_scales(cells):
+    n11, n12, n21, n22 = cells
+    n = sum(cells)
+    _assert_window_matches_full(n, n11 + n12, n11 + n21, [n11])
+
+
+@pytest.mark.parametrize("cells", [
+    (1000, 0, 0, 10**9 - 1000),  # far above the window
+    (500, 49, 20000, 1_382_828 - 20_549),  # far above the window
+    (0, 100_000, 400_000, 10**7 - 500_000),  # far below the window
+])
+def test_windowed_fisher_beyond_the_window(cells):
+    n11, n12, n21, n22 = cells
+    n, r1, c1 = sum(cells), n11 + n12, n11 + n21
+    win = _assert_window_matches_full(n, r1, c1, [n11])
+    assert not win.support_lo <= n11 <= win.support_hi
+
+
+def test_windowed_fisher_at_the_window_edges():
+    n, r1, c1 = 10**7, 10**5, 4 * 10**5
+    win = _fisher_distribution(n, r1, c1)
+    a, b = win.support_lo, win.support_hi
+    assert 0 < a and b < r1  # the window is narrower than the support on both sides
+    assert win.log_pmf[0] <= -WINDOW_NATS and win.log_pmf[-1] <= -WINDOW_NATS
+    _assert_window_matches_full(n, r1, c1, [a - 1, a, a + 1, b - 1, b, b + 1])
+
+
+def test_window_placed_too_narrow_is_widened(monkeypatch):
+    # A tenfold lgamma puts the bisected edges only about 80 nats below the
+    # peak; the check on the enumerated terms must widen the window.
+    n, r1, c1 = 10**7, 10**5, 4 * 10**5
+    placed = _fisher_distribution(n, r1, c1)
+    lgamma = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda x: 10.0 * lgamma(x))
+    win = _fisher_distribution(n, r1, c1)
+    monkeypatch.undo()
+    assert win.support_lo <= placed.support_lo and placed.support_hi <= win.support_hi
+    assert win.log_pmf[0] <= -WINDOW_NATS and win.log_pmf[-1] <= -WINDOW_NATS
+    _assert_window_matches_full(n, r1, c1, [win.support_lo, 4000, win.support_hi])

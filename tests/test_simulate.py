@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from exactlex import CalibrationReport, MultinomialModel, calibration, sample_table
+from exactlex import (
+    CalibrationReport,
+    MultinomialModel,
+    calibration,
+    hypergeom_distribution,
+    sample_table,
+)
+from exactlex import simulate
 
 
 def test_model_validation():
@@ -95,3 +102,12 @@ def test_report_json_shape():
 def test_trials_validation():
     with pytest.raises(ValueError):
         calibration(MultinomialModel.independent(0.5, 0.5), 10, trials=0)
+
+
+def test_windowed_cache_matches_full_support(monkeypatch):
+    # Supports of about 240 whose windows end short of the upper end.
+    model = MultinomialModel.independent(0.03, 0.03)
+    assert simulate._fisher_distribution(8000, 240, 240).support_hi < 240
+    windowed = calibration(model, 8000, trials=10_000, seed=5).to_dict()
+    monkeypatch.setattr(simulate, "_fisher_distribution", hypergeom_distribution)
+    assert calibration(model, 8000, trials=10_000, seed=5).to_dict() == windowed
