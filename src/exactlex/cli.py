@@ -11,6 +11,7 @@ import functools
 import json
 import sys
 from collections import Counter
+from operator import itemgetter
 
 from .assoc import AssociationRecord, association_scan
 from .corpus import BigramCounts, TokenizerConfig, count_text, read_text, zipf_summary
@@ -117,7 +118,7 @@ def _read_corpus(args) -> tuple[Counter, BigramCounts]:
     for path in args.input:
         shard_words, shard_bigrams = count_text(read_text(path), config)
         words.update(shard_words)
-        bigrams = bigrams.merge(shard_bigrams)
+        bigrams.merge(shard_bigrams)
     return words, bigrams
 
 
@@ -230,9 +231,10 @@ def _cmd_count(args, out) -> int:
         items = [(" ".join(pair), c) for pair, c in bigrams.pair_counts.items()]
     else:
         items = list(words.items())
-    items.sort(key=lambda kv: (-kv[1], kv[0]))
-    for name, count in items:
-        out.write(f"{name}\t{count}\n")
+    # Descending count, ties by name: a stable sort by count over name order.
+    items.sort()
+    items.sort(key=itemgetter(1), reverse=True)
+    out.write("".join(f"{name}\t{count}\n" for name, count in items))
     return 0
 
 

@@ -22,24 +22,30 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
+def _normalise(raw: str, config: TokenizerConfig) -> str:
+    token = raw
+    if config.strip_punctuation:
+        start, end = 0, len(token)
+        while start < end and _is_punct(token[start]):
+            start += 1
+        while end > start and _is_punct(token[end - 1]):
+            end -= 1
+        token = token[start:end]
+    if config.lowercase:
+        token = token.lower()
+    return token
+
+
 def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:
     """Split text into maximal non-whitespace runs, optionally lowercased and
-    stripped of leading/trailing punctuation. Empty tokens are dropped."""
-    tokens = []
-    for raw in text.split():
-        token = raw
-        if config.strip_punctuation:
-            start, end = 0, len(token)
-            while start < end and _is_punct(token[start]):
-                start += 1
-            while end > start and _is_punct(token[end - 1]):
-                end -= 1
-            token = token[start:end]
-        if config.lowercase:
-            token = token.lower()
-        if token:
-            tokens.append(token)
-    return tokens
+    stripped of leading/trailing punctuation. Empty tokens are dropped.
+
+    Each distinct run is normalised once per call: word data repeats heavily,
+    so that is far fewer normalisations than tokens.
+    """
+    raws = text.split()
+    normalised = {raw: _normalise(raw, config) for raw in set(raws)}
+    return [token for token in map(normalised.__getitem__, raws) if token]
 
 
 @dataclass
@@ -63,19 +69,28 @@ class BigramCounts:
         self.second_counts[w2] += count
         self.total_bigrams += count
 
+    def _add_tokens(self, tokens: list[str]) -> None:
+        # Counter.update over an iterable counts in C; the three passes give
+        # the same counts, in the same insertion order, as add_pair per pair.
+        self.pair_counts.update(zip(tokens, tokens[1:]))
+        self.first_counts.update(tokens[:-1])
+        self.second_counts.update(tokens[1:])
+        self.total_bigrams += max(0, len(tokens) - 1)
+
     def merge(self, other: "BigramCounts", boundary: tuple[str, str] | None = None) -> "BigramCounts":
-        """Combine two shard counts; `boundary` is the bigram spanning the shard
-        seam (last token of this shard, first token of the other), which plain
-        concatenation would have counted but independent shards cannot see."""
-        merged = BigramCounts(
-            pair_counts=self.pair_counts + other.pair_counts,
-            first_counts=self.first_counts + other.first_counts,
-            second_counts=self.second_counts + other.second_counts,
-            total_bigrams=self.total_bigrams + other.total_bigrams,
-        )
+        """Add another shard's counts into this one, in place, and return self.
+
+        `boundary` is the bigram spanning the shard seam (last token of this
+        shard, first token of the other), which plain concatenation would have
+        counted but independent shards cannot see. `other` is left unchanged.
+        """
+        self.pair_counts.update(other.pair_counts)
+        self.first_counts.update(other.first_counts)
+        self.second_counts.update(other.second_counts)
+        self.total_bigrams += other.total_bigrams
         if boundary is not None:
-            merged.add_pair(*boundary)
-        return merged
+            self.add_pair(*boundary)
+        return self
 
 
 @dataclass(frozen=True)
@@ -94,8 +109,7 @@ class CorpusSummary:
 def count_bigrams(tokens: list[str]) -> BigramCounts:
     """Count every adjacent token pair; fewer than two tokens give empty counts."""
     counts = BigramCounts()
-    for w1, w2 in zip(tokens, tokens[1:]):
-        counts.add_pair(w1, w2)
+    counts._add_tokens(tokens)
     return counts
 
 
@@ -111,8 +125,7 @@ def count_text(text: str, config: TokenizerConfig = TokenizerConfig()) -> tuple[
     for unit in units:
         tokens = tokenize(unit, config)
         words.update(tokens)
-        for w1, w2 in zip(tokens, tokens[1:]):
-            bigrams.add_pair(w1, w2)
+        bigrams._add_tokens(tokens)
     return words, bigrams
 
 

@@ -16,12 +16,15 @@ import numpy as np
 
 from . import asymptotic
 from .errors import DegenerateTableError, InvalidParameterError, UndefinedStatisticError
-from .exact import FisherResult, _fisher_distribution, fisher_from_dist
+from .exact import _fisher_distribution, fisher_from_dist
 from .tables import ContingencyTable2x2
 
 RNG_ALGORITHM = "numpy-pcg64"
 
 TEST_NAMES = ("fisher_left", "fisher_right", "fisher_two", "x2", "g2", "t")
+
+# The largest sample size numpy's multinomial sampler can draw.
+_MAX_N_TOTAL = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -35,9 +38,10 @@ class MultinomialModel:
 
     def __post_init__(self) -> None:
         probs = (self.p11, self.p12, self.p21, self.p22)
-        if any(p < 0 or p > 1 for p in probs):
+        # Written so that NaN fails both checks.
+        if not all(0.0 <= p <= 1.0 for p in probs):
             raise InvalidParameterError(f"cell probabilities must be in [0, 1]: {probs}")
-        if abs(sum(probs) - 1.0) > 1e-12:
+        if not abs(sum(probs) - 1.0) <= 1e-12:
             raise InvalidParameterError(f"cell probabilities must sum to 1: {probs}")
 
     @classmethod
@@ -109,24 +113,36 @@ class CalibrationReport:
         }
 
 
+def _check_n_total(n_total: int) -> None:
+    if not 1 <= n_total <= _MAX_N_TOTAL:
+        raise InvalidParameterError(f"sample size must be in [1, {_MAX_N_TOTAL}], got {n_total}")
+
+
 def sample_table(model: MultinomialModel, n_total: int,
                  rng: np.random.Generator) -> ContingencyTable2x2:
     """One multinomial draw of a 2x2 table; counts always sum to n_total."""
-    if n_total < 1:
-        raise InvalidParameterError(f"sample size must be >= 1, got {n_total}")
+    _check_n_total(n_total)
     n11, n12, n21, n22 = (int(c) for c in rng.multinomial(n_total, model.probs))
     return ContingencyTable2x2(n11, n12, n21, n22)
 
 
-def _fisher_cached(table: ContingencyTable2x2, cache: dict) -> FisherResult:
-    # Under a fixed model the sampled marginals repeat heavily; reuse the
-    # enumerated distribution per (row1, col1) pair.
-    key = (table.total, table.row1, table.col1)
-    dist = cache.get(key)
-    if dist is None:
-        dist = _fisher_distribution(*key)
-        cache[key] = dist
-    return fisher_from_dist(dist, table.n11)
+def _score(table: ContingencyTable2x2) -> tuple[list[tuple[str, float]], bool]:
+    """Each test's p-value on one table, leaving out the tests that refuse it,
+    and whether the asymptotic chi-square tests found it degenerate."""
+    fisher = fisher_from_dist(_fisher_distribution(table.total, table.row1, table.col1), table.n11)
+    scores = [("fisher_left", fisher.left_p), ("fisher_right", fisher.right_p),
+              ("fisher_two", fisher.two_sided_p)]
+    degenerate = False
+    try:
+        scores.append(("x2", asymptotic.pearson_x2(table).p_value))
+        scores.append(("g2", asymptotic.likelihood_g2(table).p_value))
+    except DegenerateTableError:
+        degenerate = True
+    try:
+        scores.append(("t", asymptotic.t_test(table).p_value))
+    except UndefinedStatisticError:
+        pass
+    return scores, degenerate
 
 
 def calibration(
@@ -141,33 +157,28 @@ def calibration(
     Degenerate tables (a zero marginal) are never resampled: they count for
     the exact test (whose p-values are 1 there) and are excluded from the
     asymptotic tallies, per each test's own error rules.
+
+    Under a fixed model the draws repeat heavily, so each distinct table is
+    scored once; the trials are then tallied in draw order, which keeps every
+    p-value sum the same left-to-right float sum as scoring trial by trial.
     """
-    if n_total < 1:
-        raise InvalidParameterError(f"sample size must be >= 1, got {n_total}")
+    _check_n_total(n_total)
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     alphas = tuple(alphas)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = rng.multinomial(n_total, model.probs, size=trials)
+    distinct, inverse = np.unique(draws, axis=0, return_inverse=True)
+    scored = [_score(ContingencyTable2x2(*row)) for row in distinct.tolist()]
 
     tallies = {name: TestTally() for name in TEST_NAMES}
     degenerate = 0
-    dist_cache: dict = {}
-    for row in draws:
-        table = ContingencyTable2x2(int(row[0]), int(row[1]), int(row[2]), int(row[3]))
-        fisher = _fisher_cached(table, dist_cache)
-        tallies["fisher_left"].record(fisher.left_p, alphas)
-        tallies["fisher_right"].record(fisher.right_p, alphas)
-        tallies["fisher_two"].record(fisher.two_sided_p, alphas)
-        try:
-            tallies["x2"].record(asymptotic.pearson_x2(table).p_value, alphas)
-            tallies["g2"].record(asymptotic.likelihood_g2(table).p_value, alphas)
-        except DegenerateTableError:
-            degenerate += 1
-        try:
-            tallies["t"].record(asymptotic.t_test(table).p_value, alphas)
-        except UndefinedStatisticError:
-            pass
+    # The inverse's shape differs across numpy 2.0.x releases.
+    for i in inverse.ravel().tolist():
+        scores, is_degenerate = scored[i]
+        for name, p in scores:
+            tallies[name].record(p, alphas)
+        degenerate += is_degenerate
     return CalibrationReport(
         trials=trials,
         n_total=n_total,

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import random
 import re
 
 import pytest
@@ -170,3 +172,46 @@ def test_repeated_calls_share_no_parsed_state():
         status, text = run(argv + extra)
         assert status == 0
         assert json.loads(text)["alphas"] == alphas
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p-row", "nan", "--p-col", "0.1", "--n", "10", "--trials", "5"],
+    ["simulate", "--p11", "nan", "--p12", "0", "--p21", "0", "--p22", "1", "--n", "10", "--trials", "5"],
+    ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "100000000000000000000", "--trials", "5"],
+])
+def test_nan_and_oversize_simulate_inputs_exit_1(argv, capsys):
+    status, text = run(argv)
+    err = capsys.readouterr().err
+    assert status == 1
+    assert text == ""
+    assert len(err.splitlines()) == 1 and err.startswith("exactlex: ")
+
+
+def _golden_shards() -> list[str]:
+    rng = random.Random(20)
+    vocab = [f"w{i}" for i in range(300)] + ["Tea", "tea", "tea.", "«Tea»", "ẞtraße", "ΣΟΦΊΑ", "—", "¿qué?"]
+    weights = [1.0 / (i + 1) for i in range(len(vocab))]
+    shards = []
+    for _ in range(3):
+        lines = [" ".join(rng.choices(vocab, weights, k=rng.randint(1, 15))) for _ in range(120)]
+        shards.append("\n".join(lines) + "\n")
+    return shards
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["count", "--bigrams"], "d67c9351116dc7ec062b5337d021ad407654e6bf15a9e5ee4e194544206f16fe"),
+    (["zipf"], "2e9de27904759f6a1410fba487c3f6d6303698e603fe93aed2a12f687e05912f"),
+    (["assoc", "--second", "tea", "--format", "json"],
+     "25537ff299dd4bc4f5543ce2ac65656ff702755ae28b2a3d4f5102954cbae9c0"),
+])
+def test_sharded_corpus_output_is_golden(argv, digest, tmp_path):
+    # Digests of the output before shards were counted in C-level passes and
+    # merged in place; the bytes must not change.
+    paths = []
+    for i, text in enumerate(_golden_shards()):
+        path = tmp_path / f"shard{i}.txt"
+        path.write_text(text, encoding="utf-8")
+        paths.append(str(path))
+    status, text = run(argv + ["--input", *paths])
+    assert status == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

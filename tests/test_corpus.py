@@ -1,3 +1,4 @@
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -139,3 +140,77 @@ def test_read_text_utf8(tmp_path):
     f = tmp_path / "ok.txt"
     f.write_text("café au lait", encoding="utf-8")
     assert tokenize(read_text(f)) == ["café", "au", "lait"]
+
+
+# --- the counting paths against the per-token and per-pair loops they replace --
+
+def _reference_tokenize(text, config):
+    tokens = []
+    for raw in text.split():
+        token = raw
+        if config.strip_punctuation:
+            start, end = 0, len(token)
+            while start < end and unicodedata.category(token[start]).startswith("P"):
+                start += 1
+            while end > start and unicodedata.category(token[end - 1]).startswith("P"):
+                end -= 1
+            token = token[start:end]
+        if config.lowercase:
+            token = token.lower()
+        if token:
+            tokens.append(token)
+    return tokens
+
+
+def _reference_count_text(text, config):
+    words = Counter()
+    bigrams = BigramCounts()
+    for unit in (text.splitlines() if config.sentence_reset else [text]):
+        tokens = _reference_tokenize(unit, config)
+        words.update(tokens)
+        for w1, w2 in zip(tokens, tokens[1:]):
+            bigrams.add_pair(w1, w2)
+    return words, bigrams
+
+
+def _items(counts: BigramCounts):
+    """Every counter as an ordered list, so that insertion order is compared too."""
+    return (list(counts.pair_counts.items()), list(counts.first_counts.items()),
+            list(counts.second_counts.items()), counts.total_bigrams)
+
+
+unicode_text = st.text(alphabet=list("aAbBzZ İıßẞΣσς«»¿¡—.,'\"!-\n\t\r"), max_size=80)
+configs = st.builds(TokenizerConfig, st.booleans(), st.booleans(), st.booleans())
+
+
+@given(unicode_text, configs)
+@settings(max_examples=300)
+def test_tokenize_and_count_text_match_per_token_loops(text, config):
+    assert tokenize(text, config) == _reference_tokenize(text, config)
+    words, bigrams = count_text(text, config)
+    ref_words, ref_bigrams = _reference_count_text(text, config)
+    assert list(words.items()) == list(ref_words.items())
+    assert _items(bigrams) == _items(ref_bigrams)
+
+
+@given(words, st.data())
+@settings(max_examples=100)
+def test_merge_in_place_equals_counter_sum(tokens, data):
+    split = data.draw(st.integers(0, len(tokens)))
+    left, right = count_bigrams(tokens[:split]), count_bigrams(tokens[split:])
+    expected = (list((left.pair_counts + right.pair_counts).items()),
+                list((left.first_counts + right.first_counts).items()),
+                list((left.second_counts + right.second_counts).items()),
+                left.total_bigrams + right.total_bigrams)
+    right_before = _items(right)
+    assert left.merge(right) is left
+    assert _items(left) == expected
+    assert _items(right) == right_before
+
+
+def test_merge_counts_boundary_once():
+    merged = count_bigrams(["a", "b"]).merge(count_bigrams(["c", "d"]), boundary=("b", "c"))
+    assert merged.pair_counts == Counter({("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1})
+    assert merged.first_counts == Counter({"a": 1, "b": 1, "c": 1})
+    assert merged.second_counts == Counter({"b": 1, "c": 1, "d": 1})
+    assert merged.total_bigrams == 3

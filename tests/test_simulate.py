@@ -6,12 +6,15 @@ import pytest
 
 from exactlex import (
     CalibrationReport,
+    ContingencyTable2x2,
     MultinomialModel,
     calibration,
+    fisher_exact,
     hypergeom_distribution,
     sample_table,
 )
-from exactlex import simulate
+from exactlex import asymptotic, simulate
+from exactlex.errors import DegenerateTableError, UndefinedStatisticError
 
 
 def test_model_validation():
@@ -111,3 +114,41 @@ def test_windowed_cache_matches_full_support(monkeypatch):
     windowed = calibration(model, 8000, trials=10_000, seed=5).to_dict()
     monkeypatch.setattr(simulate, "_fisher_distribution", hypergeom_distribution)
     assert calibration(model, 8000, trials=10_000, seed=5).to_dict() == windowed
+
+
+def _reference_calibration(model, n_total, trials, alphas, seed):
+    """Every trial scored on its own, in draw order."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = rng.multinomial(n_total, model.probs, size=trials)
+    tallies = {name: simulate.TestTally() for name in simulate.TEST_NAMES}
+    degenerate = 0
+    for row in draws:
+        table = ContingencyTable2x2(int(row[0]), int(row[1]), int(row[2]), int(row[3]))
+        fisher = fisher_exact(table)
+        tallies["fisher_left"].record(fisher.left_p, alphas)
+        tallies["fisher_right"].record(fisher.right_p, alphas)
+        tallies["fisher_two"].record(fisher.two_sided_p, alphas)
+        try:
+            tallies["x2"].record(asymptotic.pearson_x2(table).p_value, alphas)
+            tallies["g2"].record(asymptotic.likelihood_g2(table).p_value, alphas)
+        except DegenerateTableError:
+            degenerate += 1
+        try:
+            tallies["t"].record(asymptotic.t_test(table).p_value, alphas)
+        except UndefinedStatisticError:
+            pass
+    return CalibrationReport(trials, n_total, model, alphas, seed, simulate.RNG_ALGORITHM,
+                             tallies, degenerate)
+
+
+@pytest.mark.parametrize("model, n_total, trials, alphas, seed", [
+    (MultinomialModel.independent(0.001, 0.001), 100, 2000, (0.01, 0.05, 0.10), 8),  # mostly degenerate
+    (MultinomialModel.independent(0.01, 0.02), 200, 2000, (0.01, 0.05, 0.10), 3),  # n11 = 0 leaves t undefined
+    (MultinomialModel.independent(0.3, 0.4), 50, 2000, (0.01, 0.05, 0.10), 2),  # dense
+    (MultinomialModel.independent(0.5, 0.5), 3, 500, (0.01, 0.05, 0.10), 1),
+    (MultinomialModel(0.1, 0.2, 0.3, 0.4), 40, 1000, (0.001, 0.2, 0.5), 11),
+])
+def test_calibration_matches_per_trial_scoring(model, n_total, trials, alphas, seed):
+    report = calibration(model, n_total, trials=trials, alphas=alphas, seed=seed)
+    reference = _reference_calibration(model, n_total, trials, alphas, seed)
+    assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
