@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import asymptotic
 from .corpus import BigramCounts
-from .errors import DegenerateTableError, NoObservationsError, UndefinedStatisticError
+from .errors import NoObservationsError
 from .exact import fisher_exact
-from .tables import ContingencyTable2x2, expected_counts
+from .tables import ContingencyTable2x2
 
 RANK_KEYS = ("exact", "g2", "x2", "t")
 
@@ -17,6 +17,7 @@ RANK_KEYS = ("exact", "g2", "x2", "t")
 class AssociationRecord:
     """One row of a ranked association scan (the varying word against the fixed one)."""
 
+    # The field order is the key order of `records_to_json`, written by asdict.
     word: str
     n11: int
     m11: float
@@ -27,12 +28,12 @@ class AssociationRecord:
     g2_p: float | None = None
     x2_p: float | None = None
     t_p: float | None = None
-    asym_note: str | None = None  # why the chi-square tests are absent
-    t_note: str | None = None  # why the t-test is absent
     exact_rank: int | None = None
     g2_rank: int | None = None
     x2_rank: int | None = None
     t_rank: int | None = None
+    asym_note: str | None = None  # why the chi-square tests are absent
+    t_note: str | None = None  # why the t-test is absent
 
     def p_for(self, key: str) -> float | None:
         # Ranking uses the two-sided exact value (the convention the ranked
@@ -54,27 +55,27 @@ def bigram_table(counts: BigramCounts, w1: str, w2: str) -> ContingencyTable2x2:
     return ContingencyTable2x2(n11, n12, n21, n22)
 
 
-def _score(counts: BigramCounts, word: str, table: ContingencyTable2x2) -> AssociationRecord:
+def _p(result: asymptotic.TestResult | None) -> float | None:
+    return None if result is None else result.p_value
+
+
+def _score(word: str, table: ContingencyTable2x2) -> AssociationRecord:
     fisher = fisher_exact(table)
-    record = AssociationRecord(
+    tests = asymptotic.Battery(table)
+    return AssociationRecord(
         word=word,
         n11=table.n11,
-        m11=expected_counts(table).m11,
+        m11=tests.expected.m11,
         exact_left_p=fisher.left_p,
         exact_right_p=fisher.right_p,
         exact_two_p=fisher.two_sided_p,
         point_p=fisher.point_p,
+        g2_p=_p(tests.g2),
+        x2_p=_p(tests.pearson),
+        t_p=_p(tests.t_test),
+        asym_note=tests.notes.get("g2"),
+        t_note=tests.notes.get("t_test"),
     )
-    try:
-        record.g2_p = asymptotic.likelihood_g2(table).p_value
-        record.x2_p = asymptotic.pearson_x2(table).p_value
-    except DegenerateTableError as exc:
-        record.asym_note = str(exc)
-    try:
-        record.t_p = asymptotic.t_test(table).p_value
-    except UndefinedStatisticError as exc:
-        record.t_note = str(exc)
-    return record
 
 
 def rank_records(
@@ -108,27 +109,17 @@ def association_scan(
     if (fixed_second is None) == (fixed_first is None):
         raise ValueError("exactly one of fixed_second or fixed_first is required")
 
-    if fixed_second is not None:
-        if counts.second_counts.get(fixed_second, 0) < 1:
-            raise NoObservationsError(
-                f"no observations: {fixed_second!r} never occurs in second position"
-            )
-        partners = {
-            (w1, c) for (w1, w2), c in counts.pair_counts.items() if w2 == fixed_second
-        }
-        tables = {w: bigram_table(counts, w, fixed_second) for w, c in partners if c >= min_count}
+    if fixed_first is None:
+        slot, fixed, position, marginal = 1, fixed_second, "second", counts.second_counts
     else:
-        if counts.first_counts.get(fixed_first, 0) < 1:
-            raise NoObservationsError(
-                f"no observations: {fixed_first!r} never occurs in first position"
-            )
-        partners = {
-            (w2, c) for (w1, w2), c in counts.pair_counts.items() if w1 == fixed_first
-        }
-        tables = {w: bigram_table(counts, fixed_first, w) for w, c in partners if c >= min_count}
+        slot, fixed, position, marginal = 0, fixed_first, "first", counts.first_counts
+    if marginal.get(fixed, 0) < 1:
+        raise NoObservationsError(f"no observations: {fixed!r} never occurs in {position} position")
+    tables = {pair[1 - slot]: bigram_table(counts, *pair)
+              for pair, c in counts.pair_counts.items() if pair[slot] == fixed and c >= min_count}
 
     # Deterministic base order regardless of counting/iteration order.
-    records = [_score(counts, w, tables[w]) for w in sorted(tables)]
+    records = [_score(w, tables[w]) for w in sorted(tables)]
     for key in RANK_KEYS:
         rank_records(records, key)
     records.sort(key=lambda r: (r.exact_rank is None, r.exact_rank, r.word))

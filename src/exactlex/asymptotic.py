@@ -3,25 +3,25 @@
 Covers Pearson's X^2, the likelihood-ratio G^2, the Yates continuity-adjusted
 and Mantel-Haenszel chi-square variants, the one-sample bigram t-test, and
 the special functions (chi-square and normal upper tails) that turn
-statistics into p-values.
+statistics into p-values. `Battery` holds every formula; the test functions
+are views of it that raise when the table refuses the test.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateTableError, UndefinedStatisticError
-from .tables import ContingencyTable2x2, expected_counts, small_expected_warning
+from .errors import DegenerateTableError, ExactLexError, UndefinedStatisticError
+from .tables import ContingencyTable2x2, ExpectedTable, expected_counts
 
 
 @dataclass(frozen=True)
 class TestResult:
-    method: str  # one of: pearson, g2, yates, mantel_haenszel, t_test
     statistic: float
     df: int | None  # 1 for the chi-square family, None for the normal-limit t-test
     p_value: float
-    small_expected: bool  # warning flag from the table's expected counts
 
 
 @dataclass(frozen=True)
@@ -88,78 +88,129 @@ def normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _checked_expected(table: ContingencyTable2x2):
-    expected = expected_counts(table)
-    if min(expected.cells) <= 0.0:
-        raise DegenerateTableError(
-            "degenerate table: a zero marginal gives a zero expected count"
-        )
-    return expected
+def _refusable(method):
+    """A test evaluated on first access, or None when the table has a note against it."""
+    @functools.wraps(method)
+    def evaluate(self):
+        return None if method.__name__ in self.notes else method(self)
+    return functools.cached_property(evaluate)
+
+
+class Battery:
+    """Every asymptotic test on one table, each evaluated on first access.
+
+    `pearson`, `g2`, `yates`, `mantel_haenszel`, `t_test` and `measures` are
+    each a result, or None when the table refuses that test; `notes` then maps
+    the test's name to the reason. The reasons are known from the table alone
+    (a zero marginal, or n11 = 0), so `notes` is complete at construction.
+    The expected counts are computed once, and X^2 once for the tests and
+    measures that build on it. Callers that read only some tests pay only
+    for those.
+    """
+
+    def __init__(self, table: ContingencyTable2x2) -> None:
+        self.table = table
+        self.notes: dict[str, str] = {}
+        # A zero marginal is the only way to a zero expected count: for one to
+        # underflow, another would first overflow in expected_counts.
+        if min(table.row1, table.row2, table.col1, table.col2) == 0:
+            self.notes.update(dict.fromkeys(
+                ("pearson", "g2", "yates", "mantel_haenszel"),
+                "degenerate table: a zero marginal gives a zero expected count"))
+            self.notes["measures"] = "degenerate table: a marginal total is zero"
+        if table.n11 == 0:
+            self.notes["t_test"] = "t-statistic undefined: n11 = 0"
+
+    @functools.cached_property
+    def expected(self) -> ExpectedTable:
+        return expected_counts(self.table)
+
+    def _observed_expected(self):
+        return zip(self.table.cells, self.expected.cells)
+
+    @_refusable
+    def pearson(self) -> TestResult:
+        """Pearson's X^2 = sum (observed - expected)^2 / expected."""
+        stat = math.fsum((n - m) ** 2 / m for n, m in self._observed_expected())
+        return TestResult(stat, 1, chi_square_sf(stat, 1))
+
+    @_refusable
+    def g2(self) -> TestResult:
+        """Likelihood-ratio G^2 = 2 sum n ln(n/m); zero cells contribute zero (the limit)."""
+        stat = 2.0 * math.fsum(n * math.log(n / m) for n, m in self._observed_expected() if n > 0)
+        stat = max(0.0, stat)
+        return TestResult(stat, 1, chi_square_sf(stat, 1))
+
+    @_refusable
+    def yates(self) -> TestResult:
+        """Continuity-adjusted X^2: each |n - m| shrunk by 0.5 (clamped at 0) before squaring."""
+        stat = math.fsum(max(0.0, abs(n - m) - 0.5) ** 2 / m for n, m in self._observed_expected())
+        return TestResult(stat, 1, chi_square_sf(stat, 1))
+
+    @_refusable
+    def mantel_haenszel(self) -> TestResult:
+        """Mantel-Haenszel chi-square: (n - 1)/n times Pearson's X^2."""
+        n = self.table.total
+        stat = (n - 1) / n * self.pearson.statistic
+        return TestResult(stat, 1, chi_square_sf(stat, 1))
+
+    @_refusable
+    def t_test(self) -> TestResult:
+        """One-sample t-statistic for bigram data, (n11 - m11)/sqrt(n11).
+
+        The sample variance is approximated by the bigram's relative frequency,
+        so the statistic is undefined when n11 = 0. Significance is the
+        one-sided upper tail of the standard normal (the statistic's
+        large-sample limit).
+        """
+        n11 = self.table.n11
+        stat = (n11 - self.expected.m11) / math.sqrt(n11)
+        return TestResult(stat, None, normal_sf(stat))
+
+    @_refusable
+    def measures(self) -> AssociationMeasures:
+        """Phi, the contingency coefficient, and signed Cramer's V."""
+        t = self.table
+        denom = math.sqrt(t.row1) * math.sqrt(t.row2) * math.sqrt(t.col1) * math.sqrt(t.col2)
+        phi = (t.n11 * t.n22 - t.n12 * t.n21) / denom
+        x2 = self.pearson.statistic
+        cc = math.sqrt(x2 / (x2 + t.total))
+        return AssociationMeasures(phi=phi, contingency_coefficient=cc, cramers_v=phi)
+
+
+def _view(table: ContingencyTable2x2, name: str, error: type[ExactLexError]):
+    tests = Battery(table)
+    result = getattr(tests, name)
+    if result is None:
+        raise error(tests.notes[name])
+    return result
 
 
 def pearson_x2(table: ContingencyTable2x2) -> TestResult:
-    """Pearson's X^2 = sum (observed - expected)^2 / expected."""
-    expected = _checked_expected(table)
-    stat = math.fsum(
-        (n - m) ** 2 / m for n, m in zip(table.cells, expected.cells)
-    )
-    return TestResult("pearson", stat, 1, chi_square_sf(stat, 1),
-                      small_expected_warning(expected).triggered)
+    """Battery(table).pearson; DegenerateTableError on a zero marginal."""
+    return _view(table, "pearson", DegenerateTableError)
 
 
 def likelihood_g2(table: ContingencyTable2x2) -> TestResult:
-    """Likelihood-ratio G^2 = 2 sum n ln(n/m); zero cells contribute zero (the limit)."""
-    expected = _checked_expected(table)
-    stat = 2.0 * math.fsum(
-        n * math.log(n / m) for n, m in zip(table.cells, expected.cells) if n > 0
-    )
-    stat = max(0.0, stat)
-    return TestResult("g2", stat, 1, chi_square_sf(stat, 1),
-                      small_expected_warning(expected).triggered)
+    """Battery(table).g2; DegenerateTableError on a zero marginal."""
+    return _view(table, "g2", DegenerateTableError)
 
 
 def yates_x2(table: ContingencyTable2x2) -> TestResult:
-    """Continuity-adjusted X^2: each |n - m| shrunk by 0.5 (clamped at 0) before squaring."""
-    expected = _checked_expected(table)
-    stat = math.fsum(
-        max(0.0, abs(n - m) - 0.5) ** 2 / m for n, m in zip(table.cells, expected.cells)
-    )
-    return TestResult("yates", stat, 1, chi_square_sf(stat, 1),
-                      small_expected_warning(expected).triggered)
+    """Battery(table).yates; DegenerateTableError on a zero marginal."""
+    return _view(table, "yates", DegenerateTableError)
 
 
 def mantel_haenszel_x2(table: ContingencyTable2x2) -> TestResult:
-    """Mantel-Haenszel chi-square: (n - 1)/n times Pearson's X^2."""
-    pearson = pearson_x2(table)
-    n = table.total
-    if n < 2:
-        raise DegenerateTableError("Mantel-Haenszel requires a sample size of at least 2")
-    stat = (n - 1) / n * pearson.statistic
-    return TestResult("mantel_haenszel", stat, 1, chi_square_sf(stat, 1),
-                      pearson.small_expected)
+    """Battery(table).mantel_haenszel; DegenerateTableError on a zero marginal."""
+    return _view(table, "mantel_haenszel", DegenerateTableError)
 
 
 def t_test(table: ContingencyTable2x2) -> TestResult:
-    """One-sample t-statistic for bigram data, (n11 - m11)/sqrt(n11).
-
-    The sample variance is approximated by the bigram's relative frequency, so
-    the statistic is undefined when n11 = 0. Significance is the one-sided
-    upper tail of the standard normal (the statistic's large-sample limit).
-    """
-    if table.n11 == 0:
-        raise UndefinedStatisticError("t-statistic undefined: n11 = 0")
-    expected = expected_counts(table)
-    stat = (table.n11 - expected.m11) / math.sqrt(table.n11)
-    return TestResult("t_test", stat, None, normal_sf(stat),
-                      small_expected_warning(expected).triggered)
+    """Battery(table).t_test; UndefinedStatisticError when n11 = 0."""
+    return _view(table, "t_test", UndefinedStatisticError)
 
 
 def association_measures(table: ContingencyTable2x2) -> AssociationMeasures:
-    """Phi, the contingency coefficient, and signed Cramer's V."""
-    if min(table.row1, table.row2, table.col1, table.col2) == 0:
-        raise DegenerateTableError("degenerate table: a marginal total is zero")
-    denom = math.sqrt(table.row1) * math.sqrt(table.row2) * math.sqrt(table.col1) * math.sqrt(table.col2)
-    phi = (table.n11 * table.n22 - table.n12 * table.n21) / denom
-    x2 = pearson_x2(table).statistic
-    cc = math.sqrt(x2 / (x2 + table.total))
-    return AssociationMeasures(phi=phi, contingency_coefficient=cc, cramers_v=phi)
+    """Battery(table).measures; DegenerateTableError on a zero marginal."""
+    return _view(table, "measures", DegenerateTableError)

@@ -1,7 +1,7 @@
 """Command-line surface: test, assoc, count, zipf, simulate, and tea subcommands.
 
 Exit codes: 0 success, 1 data/domain error (one-line diagnostic on stderr),
-2 usage error.
+including a number too large to convert or allocate for, 2 usage error.
 """
 
 from __future__ import annotations
@@ -11,12 +11,13 @@ import functools
 import json
 import sys
 from collections import Counter
+from dataclasses import asdict
 from operator import itemgetter
 
 from .assoc import AssociationRecord, association_scan
 from .corpus import BigramCounts, TokenizerConfig, count_text, read_text, zipf_summary
 from .errors import ExactLexError
-from .report import compute_all, render_freq_report
+from .report import STAT_LABELS, compute_all, render_freq_report
 from .simulate import MultinomialModel, calibration
 from .tables import make_table
 
@@ -122,45 +123,6 @@ def _read_corpus(args) -> tuple[Counter, BigramCounts]:
     return words, bigrams
 
 
-def test_result_to_json(results: dict) -> dict:
-    """Full-precision JSON view of one table's test battery."""
-    table = results["table"]
-    fisher = results["fisher"]
-    payload: dict = {
-        "table": table.to_dict(),
-        "fisher": {
-            "left_p": fisher.left_p,
-            "right_p": fisher.right_p,
-            "two_sided_p": fisher.two_sided_p,
-            "point_p": fisher.point_p,
-        },
-        "tests": {},
-    }
-    for name in ("pearson", "g2", "yates", "mantel_haenszel", "t_test"):
-        result = results[name]
-        payload["tests"][name] = None if result is None else {
-            "statistic": result.statistic,
-            "df": result.df,
-            "p_value": result.p_value,
-        }
-    measures = results["measures"]
-    payload["measures"] = None if measures is None else {
-        "phi": measures.phi,
-        "contingency_coefficient": measures.contingency_coefficient,
-        "cramers_v": measures.cramers_v,
-    }
-    payload["small_expected_warning"] = {
-        "triggered": results["warning"].triggered,
-        "percent": results["warning"].percent,
-    }
-    return payload
-
-
-def parse_test_json(text: str) -> dict:
-    """Inverse of the `test --format json` emission."""
-    return json.loads(text)
-
-
 def _record_row(record: AssociationRecord) -> list[str]:
     def prob(p: float | None) -> str:
         return "" if p is None else f"{p:.4f}"
@@ -185,26 +147,21 @@ def records_to_tsv(records: list[AssociationRecord]) -> str:
 
 
 def records_to_json(records: list[AssociationRecord]) -> str:
-    payload = [
-        {
-            "word": r.word, "n11": r.n11, "m11": r.m11,
-            "exact_left_p": r.exact_left_p, "exact_right_p": r.exact_right_p,
-            "exact_two_p": r.exact_two_p, "point_p": r.point_p,
-            "g2_p": r.g2_p, "x2_p": r.x2_p, "t_p": r.t_p,
-            "exact_rank": r.exact_rank, "g2_rank": r.g2_rank,
-            "x2_rank": r.x2_rank, "t_rank": r.t_rank,
-            "asym_note": r.asym_note, "t_note": r.t_note,
-        }
-        for r in records
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(records, indent=2, default=asdict) + "\n"
 
 
 def _cmd_test(args, out) -> int:
     table = make_table(args.n11, args.n12, args.n21, args.n22)
     results = compute_all(table)
     if args.format == "json":
-        out.write(json.dumps(test_result_to_json(results), indent=2) + "\n")
+        payload = {
+            "table": table,
+            "fisher": results["fisher"],
+            "tests": {name: results[name] for name in (*STAT_LABELS, "t_test")},
+            "measures": results["measures"],
+            "small_expected_warning": results["warning"],
+        }
+        out.write(json.dumps(payload, indent=2, default=asdict) + "\n")
     else:
         out.write(render_freq_report(results))
     return 0
@@ -248,17 +205,7 @@ def _cmd_zipf(args, out) -> int:
         for freq, types in summary.bigram_freq_of_freq.items():
             out.write(f"bigram\t{freq}\t{types}\n")
     else:
-        out.write(json.dumps({
-            "token_count": summary.token_count,
-            "distinct_words": summary.distinct_words,
-            "distinct_bigrams": summary.distinct_bigrams,
-            "hapax_word_pct": summary.hapax_word_pct,
-            "word_le5_pct": summary.word_le5_pct,
-            "hapax_bigram_pct": summary.hapax_bigram_pct,
-            "bigram_le5_pct": summary.bigram_le5_pct,
-            "word_freq_of_freq": {str(k): v for k, v in summary.word_freq_of_freq.items()},
-            "bigram_freq_of_freq": {str(k): v for k, v in summary.bigram_freq_of_freq.items()},
-        }, indent=2) + "\n")
+        out.write(json.dumps(summary, indent=2, default=asdict) + "\n")
     return 0
 
 
@@ -299,8 +246,9 @@ def run_command(argv: list[str], out=None) -> int:
     }
     try:
         return handlers[args.subcommand](args, out)
-    except (ExactLexError, OSError) as exc:
-        print(f"exactlex: {exc}", file=sys.stderr)
+    except (ExactLexError, OSError, OverflowError, MemoryError) as exc:
+        # A bare MemoryError has no message; name it rather than print nothing.
+        print(f"exactlex: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

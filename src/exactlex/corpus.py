@@ -95,15 +95,16 @@ class BigramCounts:
 
 @dataclass(frozen=True)
 class CorpusSummary:
+    # The field order is the key order of `zipf`'s JSON, written by asdict.
     token_count: int
     distinct_words: int
     distinct_bigrams: int
-    word_freq_of_freq: dict[int, int]
-    bigram_freq_of_freq: dict[int, int]
     hapax_word_pct: float
     word_le5_pct: float
     hapax_bigram_pct: float
     bigram_le5_pct: float
+    word_freq_of_freq: dict[int, int]
+    bigram_freq_of_freq: dict[int, int]
 
 
 def count_bigrams(tokens: list[str]) -> BigramCounts:
@@ -164,10 +165,10 @@ def zipf_summary(bigrams: BigramCounts, word_counts: Counter) -> CorpusSummary:
         token_count=sum(word_counts.values()),
         distinct_words=distinct_words,
         distinct_bigrams=distinct_bigrams,
-        word_freq_of_freq=word_fof,
-        bigram_freq_of_freq=bigram_fof,
         hapax_word_pct=_pct_at_most(word_fof, 1, distinct_words),
         word_le5_pct=_pct_at_most(word_fof, 5, distinct_words),
         hapax_bigram_pct=_pct_at_most(bigram_fof, 1, distinct_bigrams),
         bigram_le5_pct=_pct_at_most(bigram_fof, 5, distinct_bigrams),
+        word_freq_of_freq=word_fof,
+        bigram_freq_of_freq=bigram_fof,
     )

@@ -4,18 +4,9 @@ by the statistics list, sample size, and a small-expected-count warning."""
 
 from __future__ import annotations
 
-from .asymptotic import (
-    AssociationMeasures,
-    association_measures,
-    likelihood_g2,
-    mantel_haenszel_x2,
-    pearson_x2,
-    t_test,
-    yates_x2,
-)
-from .errors import DegenerateTableError, UndefinedStatisticError
+from .asymptotic import AssociationMeasures, Battery
 from .exact import FisherResult, fisher_exact
-from .tables import ContingencyTable2x2, expected_counts, small_expected_warning
+from .tables import ContingencyTable2x2, small_expected_warning
 
 STAT_LABELS = {
     "pearson": "Chi-Square",
@@ -24,29 +15,20 @@ STAT_LABELS = {
     "mantel_haenszel": "Mantel-Haenszel Chi-Square",
 }
 
+# Every battery result compute_all reports, in the order their notes print.
+NOTE_LABELS = {**STAT_LABELS, "t_test": "T-Statistic", "measures": "Association measures"}
+
 
 def compute_all(table: ContingencyTable2x2) -> dict:
     """Run every test on one table; absent results carry their reason."""
-    results: dict = {"table": table, "expected": expected_counts(table)}
-    results["warning"] = small_expected_warning(results["expected"])
+    tests = Battery(table)
+    results: dict = {"table": table, "expected": tests.expected}
+    results["warning"] = small_expected_warning(tests.expected)
     results["fisher"] = fisher_exact(table)
-    for name, test in (("pearson", pearson_x2), ("g2", likelihood_g2),
-                       ("yates", yates_x2), ("mantel_haenszel", mantel_haenszel_x2)):
-        try:
-            results[name] = test(table)
-        except DegenerateTableError as exc:
-            results[name] = None
-            results.setdefault("notes", []).append(f"{STAT_LABELS[name]}: {exc}")
-    try:
-        results["t_test"] = t_test(table)
-    except UndefinedStatisticError as exc:
-        results["t_test"] = None
-        results.setdefault("notes", []).append(f"T-Statistic: {exc}")
-    try:
-        results["measures"] = association_measures(table)
-    except DegenerateTableError as exc:
-        results["measures"] = None
-        results.setdefault("notes", []).append(f"Association measures: {exc}")
+    for name in NOTE_LABELS:
+        results[name] = getattr(tests, name)
+    results["notes"] = [f"{NOTE_LABELS[name]}: {tests.notes[name]}"
+                        for name in NOTE_LABELS if name in tests.notes]
     return results
 
 

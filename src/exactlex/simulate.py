@@ -10,12 +10,12 @@ below it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import asymptotic
-from .errors import DegenerateTableError, InvalidParameterError, UndefinedStatisticError
+from .errors import InvalidParameterError
 from .exact import _fisher_distribution, fisher_from_dist
 from .tables import ContingencyTable2x2
 
@@ -23,8 +23,9 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 TEST_NAMES = ("fisher_left", "fisher_right", "fisher_two", "x2", "g2", "t")
 
-# The largest sample size numpy's multinomial sampler can draw.
-_MAX_N_TOTAL = np.iinfo(np.int64).max
+# The largest sample size numpy's multinomial sampler can draw, also the
+# bound on the number of trials.
+_MAX_SIZE = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,7 @@ class CalibrationReport:
         return {
             "trials": self.trials,
             "n_total": self.n_total,
-            "model": {"p11": self.model.p11, "p12": self.model.p12,
-                      "p21": self.model.p21, "p22": self.model.p22},
+            "model": asdict(self.model),
             "alphas": list(self.alphas),
             "seed": self.seed,
             "rng_algorithm": self.rng_algorithm,
@@ -113,15 +113,15 @@ class CalibrationReport:
         }
 
 
-def _check_n_total(n_total: int) -> None:
-    if not 1 <= n_total <= _MAX_N_TOTAL:
-        raise InvalidParameterError(f"sample size must be in [1, {_MAX_N_TOTAL}], got {n_total}")
+def _check_size(name: str, value: int) -> None:
+    if not 1 <= value <= _MAX_SIZE:
+        raise InvalidParameterError(f"{name} must be in [1, {_MAX_SIZE}], got {value}")
 
 
 def sample_table(model: MultinomialModel, n_total: int,
                  rng: np.random.Generator) -> ContingencyTable2x2:
     """One multinomial draw of a 2x2 table; counts always sum to n_total."""
-    _check_n_total(n_total)
+    _check_size("sample size", n_total)
     n11, n12, n21, n22 = (int(c) for c in rng.multinomial(n_total, model.probs))
     return ContingencyTable2x2(n11, n12, n21, n22)
 
@@ -130,19 +130,13 @@ def _score(table: ContingencyTable2x2) -> tuple[list[tuple[str, float]], bool]:
     """Each test's p-value on one table, leaving out the tests that refuse it,
     and whether the asymptotic chi-square tests found it degenerate."""
     fisher = fisher_from_dist(_fisher_distribution(table.total, table.row1, table.col1), table.n11)
+    tests = asymptotic.Battery(table)
     scores = [("fisher_left", fisher.left_p), ("fisher_right", fisher.right_p),
               ("fisher_two", fisher.two_sided_p)]
-    degenerate = False
-    try:
-        scores.append(("x2", asymptotic.pearson_x2(table).p_value))
-        scores.append(("g2", asymptotic.likelihood_g2(table).p_value))
-    except DegenerateTableError:
-        degenerate = True
-    try:
-        scores.append(("t", asymptotic.t_test(table).p_value))
-    except UndefinedStatisticError:
-        pass
-    return scores, degenerate
+    scores += [(name, result.p_value)
+               for name, result in (("x2", tests.pearson), ("g2", tests.g2), ("t", tests.t_test))
+               if result is not None]
+    return scores, "pearson" in tests.notes
 
 
 def calibration(
@@ -162,9 +156,8 @@ def calibration(
     scored once; the trials are then tallied in draw order, which keeps every
     p-value sum the same left-to-right float sum as scoring trial by trial.
     """
-    _check_n_total(n_total)
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    _check_size("sample size", n_total)
+    _check_size("trials", trials)
     alphas = tuple(alphas)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = rng.multinomial(n_total, model.probs, size=trials)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import EmptyTableError, NegativeCountError
 
@@ -66,9 +65,6 @@ class ContingencyTable2x2:
     def cells(self) -> tuple[int, int, int, int]:
         return (self.n11, self.n12, self.n21, self.n22)
 
-    def to_dict(self) -> dict[str, int]:
-        return {"n11": self.n11, "n12": self.n12, "n21": self.n21, "n22": self.n22}
-
 
 @dataclass(frozen=True)
 class ExpectedTable:
@@ -96,7 +92,9 @@ class IndependenceModel:
     p_col: float
 
 
-class SmallExpectedWarning(NamedTuple):
+@dataclass(frozen=True)
+class SmallExpectedWarning:
+    # A dataclass, not a tuple, so that `test --format json` writes an object.
     triggered: bool
     percent: float
 

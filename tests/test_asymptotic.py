@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from exactlex import (
     transpose,
     yates_x2,
 )
+from exactlex import asymptotic, assoc, simulate
+from exactlex.report import compute_all
 from oracles import chi_square_sf_quadrature, normal_sf_oracle
 
 TEA_PERFECT = make_table(4, 0, 0, 4)
@@ -216,3 +219,53 @@ class TestAssociationMeasures:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateTableError):
             association_measures(make_table(0, 0, 3, 5))
+
+
+class TestBattery:
+    @pytest.mark.parametrize("score, chi_square_tests", [
+        (compute_all, 4),  # X^2, G^2, Yates and Mantel-Haenszel
+        (lambda table: assoc._score("w", table), 2),  # X^2 and G^2
+        (simulate._score, 2),
+    ])
+    @pytest.mark.parametrize("cells", [(3, 1, 1, 3), (17, 229, 935, 1381647), (2, 7, 11, 40),
+                                       (0, 5, 7, 30), (0, 0, 2, 3)])
+    def test_each_caller_reads_one_battery(self, score, chi_square_tests, cells, monkeypatch):
+        table = make_table(*cells)
+        x2 = None if min(table.row1, table.row2, table.col1, table.col2) == 0 \
+            else pearson_x2(table).statistic
+        expected_calls, tails = [], []
+        monkeypatch.setattr(asymptotic, "expected_counts",
+                            lambda t: expected_calls.append(t) or expected_counts(t))
+        monkeypatch.setattr(asymptotic, "chi_square_sf",
+                            lambda x, df: tails.append(x) or chi_square_sf(x, df))
+        score(table)
+        assert len(expected_calls) <= 1
+        if x2 is None:
+            assert tails == []
+        else:
+            assert len(expected_calls) == 1
+            assert len(tails) == chi_square_tests
+            assert tails.count(x2) == 1
+
+    @pytest.mark.parametrize("cells", [(3, 1, 1, 3), (0, 5, 7, 30), (0, 0, 2, 3), (4, 0, 0, 4),
+                                       (1, 0, 0, 0)])
+    def test_results_are_none_exactly_where_noted(self, cells):
+        table = make_table(*cells)
+        tests = asymptotic.Battery(table)
+        views = {"pearson": pearson_x2, "g2": likelihood_g2, "yates": yates_x2,
+                 "mantel_haenszel": mantel_haenszel_x2, "t_test": t_test,
+                 "measures": association_measures}
+        for name, view in views.items():
+            result = getattr(tests, name)
+            if name in tests.notes:
+                assert result is None
+                with pytest.raises((DegenerateTableError, UndefinedStatisticError),
+                                   match=re.escape(tests.notes[name])):
+                    view(table)
+            else:
+                assert result == view(table)
+
+    def test_reading_one_test_evaluates_no_other(self):
+        tests = asymptotic.Battery(make_table(3, 1, 1, 3))
+        tests.g2
+        assert {"pearson", "yates", "mantel_haenszel", "t_test", "measures"}.isdisjoint(vars(tests))

@@ -6,10 +6,11 @@ import re
 
 import pytest
 
+from exactlex import cli
 from exactlex.cli import (
     ASSOC_TSV_COLUMNS,
+    TEA_TABLES,
     build_parser,
-    parse_test_json,
     run_command,
 )
 from exactlex.report import compute_all, render_freq_report
@@ -49,7 +50,7 @@ def test_json_round_trip_bit_for_bit():
     status, text = run(["test", "--n11", "17", "--n12", "229", "--n21", "935",
                         "--n22", "1381647", "--format", "json"])
     assert status == 0
-    payload = parse_test_json(text)
+    payload = json.loads(text)
     results = compute_all(make_table(17, 229, 935, 1381647))
     fisher = results["fisher"]
     assert payload["fisher"]["left_p"] == fisher.left_p
@@ -156,6 +157,8 @@ def test_missing_input_file_exits_1(capsys):
     ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "-1", "--trials", "5"],
     ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "10", "--trials", "0"],
     ["test", "--n11", "-1", "--n12", "1", "--n21", "1", "--n22", "1"],
+    # Expected counts too large for a float: fails before any allocation.
+    ["test", "--n11", "1", "--n12", "1", "--n21", "1", "--n22", str(10**400)],
 ])
 def test_domain_errors_exit_1_with_one_line(argv, capsys):
     status, text = run(argv)
@@ -178,6 +181,7 @@ def test_repeated_calls_share_no_parsed_state():
     ["simulate", "--p-row", "nan", "--p-col", "0.1", "--n", "10", "--trials", "5"],
     ["simulate", "--p11", "nan", "--p12", "0", "--p21", "0", "--p22", "1", "--n", "10", "--trials", "5"],
     ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "100000000000000000000", "--trials", "5"],
+    ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "10", "--trials", "100000000000000000000"],
 ])
 def test_nan_and_oversize_simulate_inputs_exit_1(argv, capsys):
     status, text = run(argv)
@@ -185,6 +189,16 @@ def test_nan_and_oversize_simulate_inputs_exit_1(argv, capsys):
     assert status == 1
     assert text == ""
     assert len(err.splitlines()) == 1 and err.startswith("exactlex: ")
+
+
+def test_out_of_memory_exits_1(monkeypatch, capsys):
+    def calibration(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(cli, "calibration", calibration)
+    status, text = run(["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "10", "--trials", "5"])
+    assert status == 1
+    assert text == ""
+    assert capsys.readouterr().err == "exactlex: MemoryError\n"
 
 
 def _golden_shards() -> list[str]:
@@ -203,6 +217,9 @@ def _golden_shards() -> list[str]:
     (["zipf"], "2e9de27904759f6a1410fba487c3f6d6303698e603fe93aed2a12f687e05912f"),
     (["assoc", "--second", "tea", "--format", "json"],
      "25537ff299dd4bc4f5543ce2ac65656ff702755ae28b2a3d4f5102954cbae9c0"),
+    # These two were taken before the asymptotic tests became one battery.
+    (["assoc", "--second", "tea"], "3c775ba3b68c95b7244c477ea10ed9308174f1ae41a76da474d72fa292dbb960"),
+    (["zipf", "--format", "tsv"], "d0cc29b19523b4fdda1276aad90436539062a435b6695fe7b33ce9076beefa88"),
 ])
 def test_sharded_corpus_output_is_golden(argv, digest, tmp_path):
     # Digests of the output before shards were counted in C-level passes and
@@ -215,3 +232,44 @@ def test_sharded_corpus_output_is_golden(argv, digest, tmp_path):
     status, text = run(argv + ["--input", *paths])
     assert status == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def _golden_tables() -> list[tuple[int, int, int, int]]:
+    # The tea tables, degenerate and one-cell tables, the paper's table, one
+    # whose p-values underflow, and seeded random tables from sparse to 1e7.
+    tables = [*TEA_TABLES, (0, 0, 2, 3), (0, 4, 4, 0), (1, 0, 0, 0),
+              (17, 229, 935, 1381647), (1000, 0, 0, 10**9)]
+    rng = random.Random(41)
+    while len(tables) < 59:
+        cells = tuple(rng.choice((0, rng.randint(0, 9), rng.randint(0, 1000), rng.randint(0, 10**7)))
+                      for _ in range(4))
+        if any(cells):
+            tables.append(cells)
+    return tables
+
+
+def _test_argvs(fmt: str) -> list[list[str]]:
+    return [["test", "--n11", str(a), "--n12", str(b), "--n21", str(c), "--n22", str(d),
+             "--format", fmt] for a, b, c, d in _golden_tables()]
+
+
+@pytest.mark.parametrize("argvs, digest", [
+    (_test_argvs("report"), "e0201c474fba5e131b940db1409606da0d6e5b41c2cb0a9122b50046bbe155f8"),
+    (_test_argvs("json"), "4a6b28a99ae08fc67644822b91bdb699876c64fd8ec6a4368047b094825e3895"),
+    ([["tea"]], "2dcc4f752d05b47b758d864c031890ff0dfca5cb2a38fcca1179666fce465633"),
+    ([["simulate", "--p-row", "0.001", "--p-col", "0.001", "--n", "100", "--trials", "2000",
+       "--seed", "8"]],  # mostly degenerate
+     "9219d538d1e5dabacb5eb77a10e16428588e492dfc637ef8c48f9bf0304cbac1"),
+    ([["simulate", "--p11", "0.1", "--p12", "0.2", "--p21", "0.3", "--p22", "0.4", "--n", "40",
+       "--trials", "1000", "--seed", "11", "--alpha", "0.001", "--alpha", "0.2"]],
+     "39d5ebed752f94714776a7a67323f44b5d58ca78a33847073b3f97b4a0ca0c75"),
+])
+def test_table_output_is_golden(argvs, digest):
+    # Digests of the output before the asymptotic tests were gathered into
+    # one battery per table; the bytes must not change.
+    sha = hashlib.sha256()
+    for argv in argvs:
+        status, text = run(argv)
+        assert status == 0
+        sha.update(text.encode("utf-8"))
+    assert sha.hexdigest() == digest
