@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 from . import asymptotic
 from .corpus import BigramCounts
 from .errors import NoObservationsError
-from .exact import fisher_exact
+from .exact import _fisher_distribution, fisher_from_dist
 from .tables import ContingencyTable2x2
 
-RANK_KEYS = ("exact", "g2", "x2", "t")
+# The record field each rank key reads. Ranking uses the two-sided exact
+# value (the convention the ranked reference output follows); left/right
+# remain available per record.
+_P_FIELDS = {"exact": "exact_two_p", "g2": "g2_p", "x2": "x2_p", "t": "t_p"}
+RANK_KEYS = tuple(_P_FIELDS)
 
 
 @dataclass
@@ -36,10 +41,7 @@ class AssociationRecord:
     t_note: str | None = None  # why the t-test is absent
 
     def p_for(self, key: str) -> float | None:
-        # Ranking uses the two-sided exact value (the convention the ranked
-        # reference output follows); left/right remain available per record.
-        return {"exact": self.exact_two_p, "g2": self.g2_p,
-                "x2": self.x2_p, "t": self.t_p}[key]
+        return getattr(self, _P_FIELDS[key])
 
 
 def bigram_table(counts: BigramCounts, w1: str, w2: str) -> ContingencyTable2x2:
@@ -59,8 +61,11 @@ def _p(result: asymptotic.TestResult | None) -> float | None:
     return None if result is None else result.p_value
 
 
-def _score(word: str, table: ContingencyTable2x2) -> AssociationRecord:
-    fisher = fisher_exact(table)
+def _score(word: str, table: ContingencyTable2x2,
+           distribution=_fisher_distribution) -> AssociationRecord:
+    """The record of one table; `distribution` enumerates Fisher's window
+    for given marginals, as `fisher_exact` does."""
+    fisher = fisher_from_dist(distribution(table.total, table.row1, table.col1), table.n11)
     tests = asymptotic.Battery(table)
     return AssociationRecord(
         word=word,
@@ -85,13 +90,15 @@ def rank_records(
     independent), rank N the smallest. Ties break lexicographically by word.
     Records without a defined p-value for the key are excluded and returned
     separately."""
-    if key not in RANK_KEYS:
+    if key not in _P_FIELDS:
         raise ValueError(f"unknown rank key {key!r}")
-    included = [r for r in records if r.p_for(key) is not None]
-    excluded = [r for r in records if r.p_for(key) is None]
-    included.sort(key=lambda r: (-r.p_for(key), r.word))
+    p_field, rank_field = _P_FIELDS[key], f"{key}_rank"
+    included, excluded = [], []
+    for record in records:
+        (excluded if getattr(record, p_field) is None else included).append(record)
+    included.sort(key=lambda r: (-getattr(r, p_field), r.word))
     for rank, record in enumerate(included, start=1):
-        setattr(record, f"{key}_rank", rank)
+        setattr(record, rank_field, rank)
     return included, excluded
 
 
@@ -105,6 +112,11 @@ def association_scan(
 
     Exactly one of fixed_second / fixed_first selects the fixed slot; the
     record's word is the varying slot. Results are ordered by exact-test rank.
+
+    Most partners are rare, so their tables repeat: each distinct table is
+    scored once, and Fisher's window is enumerated once per distinct
+    marginal (N, row1, col1). Both caches live for this call only, and each
+    record is its own object sharing only the immutable p-values.
     """
     if (fixed_second is None) == (fixed_first is None):
         raise ValueError("exactly one of fixed_second or fixed_first is required")
@@ -118,8 +130,18 @@ def association_scan(
     tables = {pair[1 - slot]: bigram_table(counts, *pair)
               for pair, c in counts.pair_counts.items() if pair[slot] == fixed and c >= min_count}
 
+    distribution = functools.cache(_fisher_distribution)
+    scored: dict[tuple[int, int, int, int], AssociationRecord] = {}
+    records = []
     # Deterministic base order regardless of counting/iteration order.
-    records = [_score(w, tables[w]) for w in sorted(tables)]
+    for word in sorted(tables):
+        table = tables[word]
+        first = scored.get(table.cells)
+        if first is None:
+            record = scored[table.cells] = _score(word, table, distribution)
+        else:
+            record = replace(first, word=word)
+        records.append(record)
     for key in RANK_KEYS:
         rank_records(records, key)
     records.sort(key=lambda r: (r.exact_rank is None, r.exact_rank, r.word))

@@ -9,6 +9,7 @@ below it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -23,9 +24,12 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 TEST_NAMES = ("fisher_left", "fisher_right", "fisher_two", "x2", "g2", "t")
 
-# The largest sample size numpy's multinomial sampler can draw, also the
-# bound on the number of trials.
+# The largest sample size numpy's multinomial sampler can draw.
 _MAX_SIZE = np.iinfo(np.int64).max
+
+# The most trials whose (trials, 4) int64 draw array numpy can allocate: its
+# size in bytes must fit in an intp.
+_MAX_TRIALS = np.iinfo(np.intp).max // (4 * np.dtype(np.int64).itemsize)
 
 
 @dataclass(frozen=True)
@@ -113,9 +117,9 @@ class CalibrationReport:
         }
 
 
-def _check_size(name: str, value: int) -> None:
-    if not 1 <= value <= _MAX_SIZE:
-        raise InvalidParameterError(f"{name} must be in [1, {_MAX_SIZE}], got {value}")
+def _check_size(name: str, value: int, most: int = _MAX_SIZE) -> None:
+    if not 1 <= value <= most:
+        raise InvalidParameterError(f"{name} must be in [1, {most}], got {value}")
 
 
 def sample_table(model: MultinomialModel, n_total: int,
@@ -126,10 +130,12 @@ def sample_table(model: MultinomialModel, n_total: int,
     return ContingencyTable2x2(n11, n12, n21, n22)
 
 
-def _score(table: ContingencyTable2x2) -> tuple[list[tuple[str, float]], bool]:
+def _score(table: ContingencyTable2x2,
+           distribution=_fisher_distribution) -> tuple[list[tuple[str, float]], bool]:
     """Each test's p-value on one table, leaving out the tests that refuse it,
-    and whether the asymptotic chi-square tests found it degenerate."""
-    fisher = fisher_from_dist(_fisher_distribution(table.total, table.row1, table.col1), table.n11)
+    and whether the asymptotic chi-square tests found it degenerate.
+    `distribution` enumerates Fisher's window for given marginals."""
+    fisher = fisher_from_dist(distribution(table.total, table.row1, table.col1), table.n11)
     tests = asymptotic.Battery(table)
     scores = [("fisher_left", fisher.left_p), ("fisher_right", fisher.right_p),
               ("fisher_two", fisher.two_sided_p)]
@@ -153,16 +159,19 @@ def calibration(
     asymptotic tallies, per each test's own error rules.
 
     Under a fixed model the draws repeat heavily, so each distinct table is
-    scored once; the trials are then tallied in draw order, which keeps every
-    p-value sum the same left-to-right float sum as scoring trial by trial.
+    scored once, and tables with equal marginals share one enumeration of
+    Fisher's window, kept for this call only. The trials are then tallied in
+    draw order, which keeps every p-value sum the same left-to-right float
+    sum as scoring trial by trial.
     """
     _check_size("sample size", n_total)
-    _check_size("trials", trials)
+    _check_size("trials", trials, _MAX_TRIALS)
     alphas = tuple(alphas)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = rng.multinomial(n_total, model.probs, size=trials)
     distinct, inverse = np.unique(draws, axis=0, return_inverse=True)
-    scored = [_score(ContingencyTable2x2(*row)) for row in distinct.tolist()]
+    distribution = functools.cache(_fisher_distribution)
+    scored = [_score(ContingencyTable2x2(*row), distribution) for row in distinct.tolist()]
 
     tallies = {name: TestTally() for name in TEST_NAMES}
     degenerate = 0

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactlex import (
     NoObservationsError,
@@ -11,8 +13,10 @@ from exactlex import (
     fisher_exact,
     rank_records,
 )
+from exactlex import assoc, asymptotic
 from exactlex.assoc import RANK_KEYS, AssociationRecord
 from exactlex.corpus import BigramCounts
+from exactlex.exact import _fisher_distribution
 
 
 def oil_industry_counts() -> BigramCounts:
@@ -176,3 +180,95 @@ def test_scan_order_is_deterministic():
     # output ordered by exact rank
     ranks = [r.exact_rank for r in first]
     assert ranks == sorted(ranks)
+
+
+def repeat_heavy_counts() -> BigramCounts:
+    """Partners of "tea" (second) and of "oil" (first) whose tables repeat:
+    (n11, row or column total) per partner, many of them equal."""
+    counts = BigramCounts()
+    shapes = [(1, 1)] * 5 + [(1, 3)] * 3 + [(2, 3)] * 2 + [(2, 2)] * 4 + [(3, 6), (2, 6), (1, 6)]
+    for i, (n11, total) in enumerate(shapes):
+        counts.add_pair(f"p{i}", "tea", n11)
+        counts.add_pair(f"p{i}", "filler", total - n11)
+        counts.add_pair("oil", f"q{i}", n11)
+        counts.add_pair("gas", f"q{i}", total - n11)
+    counts.add_pair("pad", "filler", 50)
+    return counts
+
+
+@pytest.mark.parametrize("slot, fixed, min_count", [(1, "tea", 1), (0, "oil", 1), (1, "tea", 2),
+                                                    (0, "oil", 2)])
+def test_scan_scores_each_table_and_marginal_once(slot, fixed, min_count, monkeypatch):
+    counts = repeat_heavy_counts()
+    tables = [bigram_table(counts, *pair) for pair, c in counts.pair_counts.items()
+              if pair[slot] == fixed and c >= min_count]
+    marginals = {(t.total, t.row1, t.col1) for t in tables}
+    distinct = {t.cells for t in tables}
+    assert len(marginals) < len(distinct) < len(tables)
+
+    enumerated, batteries = [], []
+    monkeypatch.setattr(assoc, "_fisher_distribution",
+                        lambda *key: enumerated.append(key) or _fisher_distribution(*key))
+    monkeypatch.setattr(asymptotic, "Battery",
+                        lambda table, Battery=asymptotic.Battery: batteries.append(table.cells)
+                        or Battery(table))
+    fixed_slot = {"fixed_first": fixed} if slot == 0 else {"fixed_second": fixed}
+    for scan in (1, 2):  # a second scan keeps nothing from the first
+        records = association_scan(counts, min_count=min_count, **fixed_slot)
+        assert len(records) == len(tables)
+        assert len({id(r) for r in records}) == len(records)
+        assert Counter(enumerated) == dict.fromkeys(marginals, scan)
+        assert Counter(batteries) == dict.fromkeys(distinct, scan)
+
+
+def _reference_scan(counts, slot, fixed, min_count):
+    """Every partner scored on its own through the public tests, then ranked."""
+    records = []
+    for pair, c in counts.pair_counts.items():
+        if pair[slot] != fixed or c < min_count:
+            continue
+        table = bigram_table(counts, *pair)
+        fisher = fisher_exact(table)
+        tests = asymptotic.Battery(table)
+        records.append(AssociationRecord(
+            word=pair[1 - slot], n11=table.n11, m11=tests.expected.m11,
+            exact_left_p=fisher.left_p, exact_right_p=fisher.right_p,
+            exact_two_p=fisher.two_sided_p, point_p=fisher.point_p,
+            g2_p=None if tests.g2 is None else tests.g2.p_value,
+            x2_p=None if tests.pearson is None else tests.pearson.p_value,
+            t_p=None if tests.t_test is None else tests.t_test.p_value,
+            asym_note=tests.notes.get("g2"), t_note=tests.notes.get("t_test")))
+    for key, field in (("exact", "exact_two_p"), ("g2", "g2_p"), ("x2", "x2_p"), ("t", "t_p")):
+        defined = sorted((r for r in records if getattr(r, field) is not None),
+                         key=lambda r: (-getattr(r, field), r.word))
+        for rank, record in enumerate(defined, start=1):
+            setattr(record, f"{key}_rank", rank)
+    return sorted(records, key=lambda r: (r.exact_rank is None, r.exact_rank, r.word))
+
+
+VOCAB = [f"w{i}" for i in range(6)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(partners=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=12),
+       noise=st.dictionaries(st.tuples(st.sampled_from(VOCAB + ["x"]), st.sampled_from(VOCAB + ["x"])),
+                             st.integers(1, 4), max_size=20),
+       data=st.data())
+def test_scan_equals_per_partner_reference(partners, noise, data):
+    # Partners of "x" on either side with (n11, other count) from a small
+    # range, so that tables and marginals repeat, plus random pairs.
+    counts = BigramCounts()
+    for i, (n11, rest) in enumerate(partners):
+        counts.add_pair(f"p{i}", "x", n11)
+        counts.add_pair("x", f"q{i}", n11)
+        if rest:
+            counts.add_pair(f"p{i}", VOCAB[i % 2], rest)
+            counts.add_pair(VOCAB[i % 3], f"q{i}", rest)
+    for (w1, w2), c in noise.items():
+        counts.add_pair(w1, w2, c)
+    slot = data.draw(st.sampled_from((0, 1)))
+    fixed = data.draw(st.sampled_from(sorted({pair[slot] for pair in counts.pair_counts})))
+    min_count = data.draw(st.integers(1, 3))
+    fixed_slot = {"fixed_first": fixed} if slot == 0 else {"fixed_second": fixed}
+    records = association_scan(counts, min_count=min_count, **fixed_slot)
+    assert records == _reference_scan(counts, slot, fixed, min_count)

@@ -182,6 +182,8 @@ def test_repeated_calls_share_no_parsed_state():
     ["simulate", "--p11", "nan", "--p12", "0", "--p21", "0", "--p22", "1", "--n", "10", "--trials", "5"],
     ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "100000000000000000000", "--trials", "5"],
     ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "10", "--trials", "100000000000000000000"],
+    # Within the int64 bound, but the (trials, 4) draw array is too big for numpy.
+    ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "10", "--trials", "300000000000000000"],
 ])
 def test_nan_and_oversize_simulate_inputs_exit_1(argv, capsys):
     status, text = run(argv)
@@ -220,6 +222,12 @@ def _golden_shards() -> list[str]:
     # These two were taken before the asymptotic tests became one battery.
     (["assoc", "--second", "tea"], "3c775ba3b68c95b7244c477ea10ed9308174f1ae41a76da474d72fa292dbb960"),
     (["zipf", "--format", "tsv"], "d0cc29b19523b4fdda1276aad90436539062a435b6695fe7b33ce9076beefa88"),
+    # These two, whose partners' tables repeat, were taken before a scan
+    # scored each distinct table once.
+    (["assoc", "--first", "w0", "--format", "json"],
+     "ce8259e247e66a2c9b48b3411985915f55b5b08a9f652829fc31ea75ceb9c6c5"),
+    (["assoc", "--second", "tea", "--min-count", "2"],
+     "c7abbacab45e0f9dc4a58b54ecf6cbb7e8b5a2414ea8f0114cf0995db90a2526"),
 ])
 def test_sharded_corpus_output_is_golden(argv, digest, tmp_path):
     # Digests of the output before shards were counted in C-level passes and

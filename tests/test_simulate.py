@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -150,5 +151,23 @@ def _reference_calibration(model, n_total, trials, alphas, seed):
 ])
 def test_calibration_matches_per_trial_scoring(model, n_total, trials, alphas, seed):
     report = calibration(model, n_total, trials=trials, alphas=alphas, seed=seed)
+    reference = _reference_calibration(model, n_total, trials, alphas, seed)
+    assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
+
+
+def test_calibration_enumerates_each_marginal_once(monkeypatch):
+    model, n_total, trials, alphas, seed = MultinomialModel.independent(0.002, 0.0007), 10_000, 2000, \
+        (0.01, 0.05, 0.10), 6
+    draws = np.random.default_rng(np.random.SeedSequence(seed)).multinomial(n_total, model.probs, size=trials)
+    distinct = {tuple(row) for row in draws.tolist()}
+    marginals = {(n_total, n11 + n12, n11 + n21) for n11, n12, n21, _ in distinct}
+    assert len(marginals) < len(distinct)
+    enumerated = []
+    monkeypatch.setattr(simulate, "_fisher_distribution",
+                        lambda *key, original=simulate._fisher_distribution:
+                        enumerated.append(key) or original(*key))
+    for run in (1, 2):  # a second run keeps nothing from the first
+        report = calibration(model, n_total, trials=trials, alphas=alphas, seed=seed)
+        assert Counter(enumerated) == dict.fromkeys(marginals, run)
     reference = _reference_calibration(model, n_total, trials, alphas, seed)
     assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
