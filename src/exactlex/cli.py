@@ -15,7 +15,7 @@ from dataclasses import asdict
 from operator import itemgetter
 
 from .assoc import AssociationRecord, association_scan
-from .corpus import BigramCounts, TokenizerConfig, count_text, read_text, zipf_summary
+from .corpus import BigramCounts, TokenizerConfig, _count_shards, read_text, zipf_summary
 from .errors import ExactLexError
 from .report import STAT_LABELS, compute_all, render_freq_report
 from .simulate import MultinomialModel, calibration
@@ -113,14 +113,8 @@ def _tokenizer_config(args) -> TokenizerConfig:
 
 
 def _read_corpus(args) -> tuple[Counter, BigramCounts]:
-    config = _tokenizer_config(args)
-    words: Counter = Counter()
-    bigrams = BigramCounts()
-    for path in args.input:
-        shard_words, shard_bigrams = count_text(read_text(path), config)
-        words.update(shard_words)
-        bigrams.merge(shard_bigrams)
-    return words, bigrams
+    # Inputs are read one at a time, each counted straight into one total.
+    return _count_shards(map(read_text, args.input), _tokenizer_config(args))
 
 
 def _record_row(record: AssociationRecord) -> list[str]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import unicodedata
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,16 +37,27 @@ def _normalise(raw: str, config: TokenizerConfig) -> str:
     return token
 
 
+def _tokenize(text: str, config: TokenizerConfig, normalised: dict[str, str]) -> list[str]:
+    """`tokenize`, normalising only the runs that `normalised` (raw run ->
+    token, for this config) does not hold yet, and adding them to it."""
+    raws = text.split()
+    # The map's keys are fresh copies of the new runs, made side by side.
+    # Keys taken from `raws` would lie scattered over its memory and keep
+    # most of that from being reused once `raws` is freed.
+    for raw in " ".join(set(raws).difference(normalised)).split():
+        normalised[raw] = _normalise(raw, config)
+    return [token for token in map(normalised.__getitem__, raws) if token]
+
+
 def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:
     """Split text into maximal non-whitespace runs, optionally lowercased and
     stripped of leading/trailing punctuation. Empty tokens are dropped.
 
     Each distinct run is normalised once per call: word data repeats heavily,
-    so that is far fewer normalisations than tokens.
+    so that is far fewer normalisations than tokens. Counting shares one such
+    map across every line and text it counts.
     """
-    raws = text.split()
-    normalised = {raw: _normalise(raw, config) for raw in set(raws)}
-    return [token for token in map(normalised.__getitem__, raws) if token]
+    return _tokenize(text, config, {})
 
 
 @dataclass
@@ -114,20 +126,32 @@ def count_bigrams(tokens: list[str]) -> BigramCounts:
     return counts
 
 
-def count_text(text: str, config: TokenizerConfig = TokenizerConfig()) -> tuple[Counter, BigramCounts]:
-    """Tokenize and count a whole text; returns (word counts, bigram counts).
+def _count_shards(texts: Iterable[str], config: TokenizerConfig) -> tuple[Counter, BigramCounts]:
+    """Tokenize and count each text, in turn, into one word Counter and one
+    BigramCounts; returns (word counts, bigram counts).
 
-    With sentence_reset, each line is counted as its own shard and no bigram
-    spans a newline.
+    No bigram spans two texts, or with sentence_reset two lines. Each
+    distinct raw run is normalised once per call, however many texts and
+    lines repeat it.
     """
     words: Counter = Counter()
     bigrams = BigramCounts()
-    units = text.splitlines() if config.sentence_reset else [text]
-    for unit in units:
-        tokens = tokenize(unit, config)
-        words.update(tokens)
-        bigrams._add_tokens(tokens)
+    normalised: dict[str, str] = {}
+    for text in texts:
+        for unit in text.splitlines() if config.sentence_reset else (text,):
+            tokens = _tokenize(unit, config, normalised)
+            words.update(tokens)
+            bigrams._add_tokens(tokens)
     return words, bigrams
+
+
+def count_text(text: str, config: TokenizerConfig = TokenizerConfig()) -> tuple[Counter, BigramCounts]:
+    """Tokenize and count a whole text; returns (word counts, bigram counts).
+
+    With sentence_reset, no bigram spans a newline. Each distinct raw run is
+    normalised once per call, not once per line.
+    """
+    return _count_shards((text,), config)
 
 
 def read_text(path: str | Path) -> str:

@@ -153,6 +153,8 @@ def calibration(
     seed: int = 0,
 ) -> CalibrationReport:
     """Sample `trials` tables and tabulate each test's rejection rate per alpha.
+    Each alpha must lie in (0, 1) and be given once: a repeated alpha would
+    count each rejection twice.
 
     Degenerate tables (a zero marginal) are never resampled: they count for
     the exact test (whose p-values are 1 there) and are excluded from the
@@ -167,6 +169,9 @@ def calibration(
     _check_size("sample size", n_total)
     _check_size("trials", trials, _MAX_TRIALS)
     alphas = tuple(alphas)
+    # Written so that NaN fails.
+    if not all(0.0 < alpha < 1.0 for alpha in alphas) or len(set(alphas)) < len(alphas):
+        raise InvalidParameterError(f"alphas must be distinct and in (0, 1): {alphas}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = rng.multinomial(n_total, model.probs, size=trials)
     distinct, inverse = np.unique(draws, axis=0, return_inverse=True)

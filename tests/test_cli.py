@@ -3,6 +3,7 @@ import io
 import json
 import random
 import re
+import sys
 
 import pytest
 
@@ -159,6 +160,12 @@ def test_missing_input_file_exits_1(capsys):
     ["test", "--n11", "-1", "--n12", "1", "--n21", "1", "--n22", "1"],
     # Expected counts too large for a float: fails before any allocation.
     ["test", "--n11", "1", "--n12", "1", "--n21", "1", "--n22", str(10**400)],
+    # A repeated alpha would count each rejection twice; alphas lie in (0, 1).
+    ["simulate", "--p-row", "0.3", "--p-col", "0.3", "--n", "50", "--trials", "20",
+     "--alpha", "0.05", "--alpha", "0.05"],
+    ["simulate", "--p-row", "0.3", "--p-col", "0.3", "--n", "50", "--trials", "20", "--alpha", "-1"],
+    ["simulate", "--p-row", "0.3", "--p-col", "0.3", "--n", "50", "--trials", "20", "--alpha", "0"],
+    ["simulate", "--p-row", "0.3", "--p-col", "0.3", "--n", "50", "--trials", "20", "--alpha", "1"],
 ])
 def test_domain_errors_exit_1_with_one_line(argv, capsys):
     status, text = run(argv)
@@ -184,6 +191,8 @@ def test_repeated_calls_share_no_parsed_state():
     ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "10", "--trials", "100000000000000000000"],
     # Within the int64 bound, but the (trials, 4) draw array is too big for numpy.
     ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "10", "--trials", "300000000000000000"],
+    # NaN would be written as a bare NaN, which is not JSON.
+    ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "10", "--trials", "5", "--alpha", "nan"],
 ])
 def test_nan_and_oversize_simulate_inputs_exit_1(argv, capsys):
     status, text = run(argv)
@@ -228,6 +237,13 @@ def _golden_shards() -> list[str]:
      "ce8259e247e66a2c9b48b3411985915f55b5b08a9f652829fc31ea75ceb9c6c5"),
     (["assoc", "--second", "tea", "--min-count", "2"],
      "c7abbacab45e0f9dc4a58b54ecf6cbb7e8b5a2414ea8f0114cf0995db90a2526"),
+    # These three were taken before every shard was counted into one
+    # accumulator with one normalisation map.
+    (["count"], "022be0ea06126d1fb59ac7146fd299ffcbf81fd371859ae01a7ab76746f10503"),
+    (["count", "--bigrams", "--sentence-reset", "true"],
+     "be2082f7764c3b9586364f99ca86e823f6554e00231d6e64ce1728118ccac283"),
+    (["zipf", "--lowercase", "false", "--strip-punct", "false"],
+     "96fe8279e71dbcbee1a6ea5de357a33cfc44d847cd346aba3e82f6d380812fcd"),
 ])
 def test_sharded_corpus_output_is_golden(argv, digest, tmp_path):
     # Digests of the output before shards were counted in C-level passes and
@@ -240,6 +256,16 @@ def test_sharded_corpus_output_is_golden(argv, digest, tmp_path):
     status, text = run(argv + ["--input", *paths])
     assert status == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_stdin_input_matches_file_input(tmp_path, monkeypatch):
+    data = "".join(_golden_shards()).encode("utf-8")
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(data)
+    status, from_file = run(["count", "--bigrams", "--input", str(path)])
+    assert status == 0 and from_file
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert run(["count", "--bigrams", "--input", "-"]) == (0, from_file)
 
 
 def _golden_tables() -> list[tuple[int, int, int, int]]:

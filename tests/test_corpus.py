@@ -1,3 +1,4 @@
+import itertools
 import unicodedata
 from collections import Counter
 
@@ -14,7 +15,8 @@ from exactlex import (
     tokenize,
     zipf_summary,
 )
-from exactlex.corpus import read_text
+from exactlex import corpus
+from exactlex.corpus import _count_shards, read_text
 
 words = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=40)
 
@@ -214,3 +216,52 @@ def test_merge_counts_boundary_once():
     assert merged.first_counts == Counter({"a": 1, "b": 1, "c": 1})
     assert merged.second_counts == Counter({"b": 1, "c": 1, "d": 1})
     assert merged.total_bigrams == 3
+
+
+# --- one accumulator for many shards, against per-shard counts merged ---------
+
+ALL_CONFIGS = [TokenizerConfig(*flags) for flags in itertools.product((False, True), repeat=3)]
+
+# Runs that repeat across shards, in several spellings, plus punctuation-only
+# runs that normalise to nothing under strip_punctuation.
+RUNS = ["tea", "Tea", "tea.", "«Tea»", "TEA", "ẞtraße", "—", "...", "¿!", "a", "b"]
+run_text = st.lists(st.tuples(st.sampled_from(RUNS), st.sampled_from([" ", "\n", "\t", " \n "])),
+                    max_size=12).map(lambda pieces: "".join(run + sep for run, sep in pieces))
+shard_lists = st.lists(st.one_of(st.just(""), st.sampled_from(["— ...", "¿! —\n"]), run_text,
+                                 unicode_text), max_size=6)
+
+
+def _reference_count_shards(shards, config):
+    """Each shard counted on its own, then merged without seam bigrams."""
+    words = Counter()
+    bigrams = BigramCounts()
+    for text in shards:
+        shard_words, shard_bigrams = _reference_count_text(text, config)
+        words.update(shard_words)
+        bigrams.merge(shard_bigrams)
+    return words, bigrams
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS)
+@given(shard_lists)
+@settings(max_examples=60)
+def test_count_shards_equals_per_shard_counts_merged(config, shards):
+    words, bigrams = _count_shards(iter(shards), config)
+    ref_words, ref_bigrams = _reference_count_shards(shards, config)
+    assert list(words.items()) == list(ref_words.items())
+    assert _items(bigrams) == _items(ref_bigrams)
+
+
+@pytest.mark.parametrize("sentence_reset", [False, True])
+def test_count_shards_normalises_each_distinct_run_once(sentence_reset, monkeypatch):
+    calls = Counter()
+    normalise = corpus._normalise
+
+    def counting(raw, config):
+        calls[raw] += 1
+        return normalise(raw, config)
+
+    monkeypatch.setattr(corpus, "_normalise", counting)
+    shards = ["Tea tea. «Tea»\ntea — tea\n", "", "tea. Tea\n— strong tea\n", "Tea\nTea tea."]
+    _count_shards(shards, TokenizerConfig(sentence_reset=sentence_reset))
+    assert calls == Counter({raw: 1 for shard in shards for raw in shard.split()})

@@ -15,7 +15,7 @@ from exactlex import (
     sample_table,
 )
 from exactlex import asymptotic, simulate
-from exactlex.errors import DegenerateTableError, UndefinedStatisticError
+from exactlex.errors import DegenerateTableError, InvalidParameterError, UndefinedStatisticError
 
 
 def test_model_validation():
@@ -106,6 +106,12 @@ def test_report_json_shape():
 def test_trials_validation():
     with pytest.raises(ValueError):
         calibration(MultinomialModel.independent(0.5, 0.5), 10, trials=0)
+
+
+@pytest.mark.parametrize("alphas", [(0.05, 0.05), (math.nan,), (-1.0,), (0.0,), (1.0,), (0.01, 1.5)])
+def test_alphas_outside_unit_interval_or_repeated_are_rejected(alphas):
+    with pytest.raises(InvalidParameterError):
+        calibration(MultinomialModel.independent(0.3, 0.3), 50, trials=20, alphas=alphas)
 
 
 def test_windowed_cache_matches_full_support(monkeypatch):
