@@ -38,9 +38,7 @@ from .simulate import CalibrationReport, MultinomialModel, calibration, sample_t
 from .tables import (
     ContingencyTable2x2,
     ExpectedTable,
-    IndependenceModel,
     expected_counts,
-    independence_model,
     make_table,
     small_expected_warning,
     transpose,

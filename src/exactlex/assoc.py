@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import asymptotic
 from .corpus import BigramCounts
 from .errors import NoObservationsError
-from .exact import _fisher_distribution, fisher_from_dist
+from .exact import FisherResult
+from .report import _score_distinct
 from .tables import ContingencyTable2x2
 
 # The record field each rank key reads. Ranking uses the two-sided exact
@@ -40,9 +40,6 @@ class AssociationRecord:
     asym_note: str | None = None  # why the chi-square tests are absent
     t_note: str | None = None  # why the t-test is absent
 
-    def p_for(self, key: str) -> float | None:
-        return getattr(self, _P_FIELDS[key])
-
 
 def bigram_table(counts: BigramCounts, w1: str, w2: str) -> ContingencyTable2x2:
     """The 2x2 table classifying every bigram position by presence of w1 first
@@ -61,12 +58,8 @@ def _p(result: asymptotic.TestResult | None) -> float | None:
     return None if result is None else result.p_value
 
 
-def _score(word: str, table: ContingencyTable2x2,
-           distribution=_fisher_distribution) -> AssociationRecord:
-    """The record of one table; `distribution` enumerates Fisher's window
-    for given marginals, as `fisher_exact` does."""
-    fisher = fisher_from_dist(distribution(table.total, table.row1, table.col1), table.n11)
-    tests = asymptotic.Battery(table)
+def _record(word: str, table: ContingencyTable2x2, fisher: FisherResult,
+            tests: asymptotic.Battery) -> AssociationRecord:
     return AssociationRecord(
         word=word,
         n11=table.n11,
@@ -113,10 +106,8 @@ def association_scan(
     Exactly one of fixed_second / fixed_first selects the fixed slot; the
     record's word is the varying slot. Results are ordered by exact-test rank.
 
-    Most partners are rare, so their tables repeat: each distinct table is
-    scored once, and Fisher's window is enumerated once per distinct
-    marginal (N, row1, col1). Both caches live for this call only, and each
-    record is its own object sharing only the immutable p-values.
+    Each distinct table is scored once (see `report._score_distinct`), and
+    each record is its own object.
     """
     if (fixed_second is None) == (fixed_first is None):
         raise ValueError("exactly one of fixed_second or fixed_first is required")
@@ -130,18 +121,9 @@ def association_scan(
     tables = {pair[1 - slot]: bigram_table(counts, *pair)
               for pair, c in counts.pair_counts.items() if pair[slot] == fixed and c >= min_count}
 
-    distribution = functools.cache(_fisher_distribution)
-    scored: dict[tuple[int, int, int, int], AssociationRecord] = {}
-    records = []
+    scores = _score_distinct(tables.values())
     # Deterministic base order regardless of counting/iteration order.
-    for word in sorted(tables):
-        table = tables[word]
-        first = scored.get(table.cells)
-        if first is None:
-            record = scored[table.cells] = _score(word, table, distribution)
-        else:
-            record = replace(first, word=word)
-        records.append(record)
+    records = [_record(word, table, *scores[table.cells]) for word, table in sorted(tables.items())]
     for key in RANK_KEYS:
         rank_records(records, key)
     records.sort(key=lambda r: (r.exact_rank is None, r.exact_rank, r.word))

@@ -55,13 +55,10 @@ class HypergeomDist:
     def support(self) -> range:
         return range(self.support_lo, self.support_hi + 1)
 
-    def log_pmf_at(self, n11: int) -> float:
-        if not self.support_lo <= n11 <= self.support_hi:
-            return -math.inf
-        return float(self.log_pmf[n11 - self.support_lo])
-
     def pmf_at(self, n11: int) -> float:
-        return math.exp(self.log_pmf_at(n11))
+        if not self.support_lo <= n11 <= self.support_hi:
+            return 0.0
+        return math.exp(self.log_pmf[n11 - self.support_lo])
 
     def pmf(self) -> np.ndarray:
         return np.exp(self.log_pmf)
@@ -99,17 +96,17 @@ def _enumerate(n_total: int, row1_total: int, col1_total: int, lo: int, hi: int)
     so a term has the same value in every range that holds it.
     """
     size = hi - lo + 1
-    if size == 1:
-        return HypergeomDist(n_total, row1_total, col1_total, lo, hi, np.zeros(1))
 
     # Step ratio pmf(k+1)/pmf(k) = (row1-k)(col1-k) / ((k+1)(n-row1-col1+k+1)),
-    # exact in small integers; its log is accurate to a few ulps per step.
-    k = np.arange(lo, hi, dtype=np.float64)
+    # its log accurate to a few ulps per step. With k = lo + j, each factor
+    # is a Python-int constant at lo plus or minus the small offset j, so no
+    # difference of two large floats loses the factor past 2**53.
+    j = np.arange(size - 1, dtype=np.float64)
     log_ratio = (
-        np.log(row1_total - k)
-        + np.log(col1_total - k)
-        - np.log(k + 1.0)
-        - np.log(n_total - row1_total - col1_total + k + 1.0)
+        np.log((row1_total - lo) - j)
+        + np.log((col1_total - lo) - j)
+        - np.log((lo + 1) + j)
+        - np.log((n_total - row1_total - col1_total + lo + 1) + j)
     )
 
     mi = _mode(n_total, row1_total, col1_total) - lo

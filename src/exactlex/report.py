@@ -1,11 +1,17 @@
 """Fixed-layout text report for a single 2x2 table, in the style of classic
 cross-tabulation output: a frequency/expected/deviation/percent grid followed
-by the statistics list, sample size, and a small-expected-count warning."""
+by the statistics list, sample size, and a small-expected-count warning.
+`_score_distinct` pairs the same tests over many tables for `assoc` and
+`simulate`."""
 
 from __future__ import annotations
 
-from .asymptotic import AssociationMeasures, Battery
-from .exact import FisherResult, fisher_exact
+import functools
+from collections.abc import Iterable
+
+from . import asymptotic
+from .asymptotic import AssociationMeasures
+from .exact import FisherResult, _fisher_distribution, fisher_exact, fisher_from_dist
 from .tables import ContingencyTable2x2, small_expected_warning
 
 STAT_LABELS = {
@@ -21,7 +27,7 @@ NOTE_LABELS = {**STAT_LABELS, "t_test": "T-Statistic", "measures": "Association 
 
 def compute_all(table: ContingencyTable2x2) -> dict:
     """Run every test on one table; absent results carry their reason."""
-    tests = Battery(table)
+    tests = asymptotic.Battery(table)
     results: dict = {"table": table, "expected": tests.expected}
     results["warning"] = small_expected_warning(tests.expected)
     results["fisher"] = fisher_exact(table)
@@ -30,6 +36,26 @@ def compute_all(table: ContingencyTable2x2) -> dict:
     results["notes"] = [f"{NOTE_LABELS[name]}: {tests.notes[name]}"
                         for name in NOTE_LABELS if name in tests.notes]
     return results
+
+
+def _score_distinct(
+    tables: Iterable[ContingencyTable2x2],
+) -> dict[tuple[int, int, int, int], tuple[FisherResult, asymptotic.Battery]]:
+    """Fisher's test and the asymptotic battery of each distinct table, keyed
+    by its cells in first-seen order.
+
+    Word-pair and sampled tables repeat heavily, so each distinct table is
+    scored once, and tables with equal marginals (N, row1, col1) share one
+    enumeration of Fisher's window. That cache lives for this call only.
+    Each battery computes a test on first access.
+    """
+    distribution = functools.cache(_fisher_distribution)
+    scores: dict[tuple[int, int, int, int], tuple[FisherResult, asymptotic.Battery]] = {}
+    for table in tables:
+        if table.cells not in scores:
+            dist = distribution(table.total, table.row1, table.col1)
+            scores[table.cells] = (fisher_from_dist(dist, table.n11), asymptotic.Battery(table))
+    return scores
 
 
 def _fmt(value: float, decimals: int, width: int = 10) -> str:

@@ -9,7 +9,6 @@ below it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -17,7 +16,8 @@ import numpy as np
 
 from . import asymptotic
 from .errors import InvalidParameterError
-from .exact import _fisher_distribution, fisher_from_dist
+from .exact import FisherResult
+from .report import _score_distinct
 from .tables import ContingencyTable2x2
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -130,13 +130,10 @@ def sample_table(model: MultinomialModel, n_total: int,
     return ContingencyTable2x2(n11, n12, n21, n22)
 
 
-def _score(table: ContingencyTable2x2,
-           distribution=_fisher_distribution) -> tuple[list[tuple[str, float]], bool]:
+def _p_values(fisher: FisherResult,
+              tests: asymptotic.Battery) -> tuple[list[tuple[str, float]], bool]:
     """Each test's p-value on one table, leaving out the tests that refuse it,
-    and whether the asymptotic chi-square tests found it degenerate.
-    `distribution` enumerates Fisher's window for given marginals."""
-    fisher = fisher_from_dist(distribution(table.total, table.row1, table.col1), table.n11)
-    tests = asymptotic.Battery(table)
+    and whether the asymptotic chi-square tests found it degenerate."""
     scores = [("fisher_left", fisher.left_p), ("fisher_right", fisher.right_p),
               ("fisher_two", fisher.two_sided_p)]
     scores += [(name, result.p_value)
@@ -160,11 +157,9 @@ def calibration(
     the exact test (whose p-values are 1 there) and are excluded from the
     asymptotic tallies, per each test's own error rules.
 
-    Under a fixed model the draws repeat heavily, so each distinct table is
-    scored once, and tables with equal marginals share one enumeration of
-    Fisher's window, kept for this call only. The trials are then tallied in
-    draw order, which keeps every p-value sum the same left-to-right float
-    sum as scoring trial by trial.
+    Each distinct draw is scored once (see `report._score_distinct`). The
+    trials are then tallied in draw order, which keeps every p-value sum the
+    same left-to-right float sum as scoring trial by trial.
     """
     _check_size("sample size", n_total)
     _check_size("trials", trials, _MAX_TRIALS)
@@ -175,8 +170,8 @@ def calibration(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = rng.multinomial(n_total, model.probs, size=trials)
     distinct, inverse = np.unique(draws, axis=0, return_inverse=True)
-    distribution = functools.cache(_fisher_distribution)
-    scored = [_score(ContingencyTable2x2(*row), distribution) for row in distinct.tolist()]
+    scored = [_p_values(*pair) for pair in
+              _score_distinct(ContingencyTable2x2(*row) for row in distinct.tolist()).values()]
 
     tallies = {name: TestTally() for name in TEST_NAMES}
     degenerate = 0

@@ -21,9 +21,9 @@ class ContingencyTable2x2:
         ---------
         col1 col2 |  total
 
-    Marginals are computed once at construction; counts are Python ints so
-    totals well past 2**53 round-trip exactly. Instances are immutable and
-    safe to share across threads.
+    Marginals are properties summed from the cells on each read; counts are
+    Python ints so totals well past 2**53 round-trip exactly. Instances are
+    immutable and safe to share across threads.
     """
 
     n11: int
@@ -85,14 +85,6 @@ class ExpectedTable:
 
 
 @dataclass(frozen=True)
-class IndependenceModel:
-    """Marginal probabilities of row category 1 and column category 1."""
-
-    p_row: float
-    p_col: float
-
-
-@dataclass(frozen=True)
 class SmallExpectedWarning:
     # A dataclass, not a tuple, so that `test --format json` writes an object.
     triggered: bool
@@ -122,12 +114,6 @@ def expected_counts(table: ContingencyTable2x2) -> ExpectedTable:
         m21=table.row2 * table.col1 / n,
         m22=table.row2 * table.col2 / n,
     )
-
-
-def independence_model(table: ContingencyTable2x2) -> IndependenceModel:
-    """Estimated parameters of the independence model (row-1 and column-1 probabilities)."""
-    n = table.total
-    return IndependenceModel(p_row=table.row1 / n, p_col=table.col1 / n)
 
 
 def small_expected_warning(expected: ExpectedTable) -> SmallExpectedWarning:

@@ -13,7 +13,7 @@ from exactlex import (
     fisher_exact,
     rank_records,
 )
-from exactlex import assoc, asymptotic
+from exactlex import asymptotic, report
 from exactlex.assoc import RANK_KEYS, AssociationRecord
 from exactlex.corpus import BigramCounts
 from exactlex.exact import _fisher_distribution
@@ -207,7 +207,7 @@ def test_scan_scores_each_table_and_marginal_once(slot, fixed, min_count, monkey
     assert len(marginals) < len(distinct) < len(tables)
 
     enumerated, batteries = [], []
-    monkeypatch.setattr(assoc, "_fisher_distribution",
+    monkeypatch.setattr(report, "_fisher_distribution",
                         lambda *key: enumerated.append(key) or _fisher_distribution(*key))
     monkeypatch.setattr(asymptotic, "Battery",
                         lambda table, Battery=asymptotic.Battery: batteries.append(table.cells)

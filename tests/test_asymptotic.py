@@ -21,7 +21,7 @@ from exactlex import (
     yates_x2,
 )
 from exactlex import asymptotic, assoc, simulate
-from exactlex.report import compute_all
+from exactlex.report import _score_distinct, compute_all
 from oracles import chi_square_sf_quadrature, normal_sf_oracle
 
 TEA_PERFECT = make_table(4, 0, 0, 4)
@@ -221,11 +221,16 @@ class TestAssociationMeasures:
             association_measures(make_table(0, 0, 3, 5))
 
 
+def _score(table):
+    """Simulate's reading of one table's score: its p-values and degenerate flag."""
+    return simulate._p_values(*_score_distinct([table])[table.cells])
+
+
 class TestBattery:
     @pytest.mark.parametrize("score, chi_square_tests", [
         (compute_all, 4),  # X^2, G^2, Yates and Mantel-Haenszel
-        (lambda table: assoc._score("w", table), 2),  # X^2 and G^2
-        (simulate._score, 2),
+        (lambda table: assoc._record("w", table, *_score_distinct([table])[table.cells]), 2),  # X^2, G^2
+        (_score, 2),
     ])
     @pytest.mark.parametrize("cells", [(3, 1, 1, 3), (17, 229, 935, 1381647), (2, 7, 11, 40),
                                        (0, 5, 7, 30), (0, 0, 2, 3)])

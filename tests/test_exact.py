@@ -97,6 +97,18 @@ def test_matches_rational_oracle(n, data):
     assert result.point_p == pytest.approx(float(point), rel=1e-10)
 
 
+@pytest.mark.parametrize("cells", [(2**53, 1, 1, 1), (10**20, 1, 1, 1), (2**53 + 1, 0, 2, 3),
+                                   (10**30, 3, 4, 2)])
+def test_matches_rational_oracle_beyond_2_53(cells):
+    # n11 past 2**53, where the step ratio's small factors such as row1 - k
+    # are lost if taken as differences of two large floats.
+    t = make_table(*cells)
+    result = fisher_exact(t)
+    oracle = rational_fisher(t.total, t.row1, t.col1, t.n11)
+    got = (result.left_p, result.right_p, result.two_sided_p, result.point_p)
+    assert got == pytest.approx([float(p) for p in oracle], rel=1e-12)
+
+
 @given(st.integers(1, 10**6), st.data())
 @settings(max_examples=100, deadline=None)
 def test_normalization_random_marginals(n, data):

@@ -14,7 +14,7 @@ from exactlex import (
     hypergeom_distribution,
     sample_table,
 )
-from exactlex import asymptotic, simulate
+from exactlex import asymptotic, exact, report, simulate
 from exactlex.errors import DegenerateTableError, InvalidParameterError, UndefinedStatisticError
 
 
@@ -117,9 +117,9 @@ def test_alphas_outside_unit_interval_or_repeated_are_rejected(alphas):
 def test_windowed_cache_matches_full_support(monkeypatch):
     # Supports of about 240 whose windows end short of the upper end.
     model = MultinomialModel.independent(0.03, 0.03)
-    assert simulate._fisher_distribution(8000, 240, 240).support_hi < 240
+    assert exact._fisher_distribution(8000, 240, 240).support_hi < 240
     windowed = calibration(model, 8000, trials=10_000, seed=5).to_dict()
-    monkeypatch.setattr(simulate, "_fisher_distribution", hypergeom_distribution)
+    monkeypatch.setattr(report, "_fisher_distribution", hypergeom_distribution)
     assert calibration(model, 8000, trials=10_000, seed=5).to_dict() == windowed
 
 
@@ -168,12 +168,16 @@ def test_calibration_enumerates_each_marginal_once(monkeypatch):
     distinct = {tuple(row) for row in draws.tolist()}
     marginals = {(n_total, n11 + n12, n11 + n21) for n11, n12, n21, _ in distinct}
     assert len(marginals) < len(distinct)
-    enumerated = []
-    monkeypatch.setattr(simulate, "_fisher_distribution",
-                        lambda *key, original=simulate._fisher_distribution:
+    enumerated, batteries = [], []
+    monkeypatch.setattr(report, "_fisher_distribution",
+                        lambda *key, original=report._fisher_distribution:
                         enumerated.append(key) or original(*key))
+    monkeypatch.setattr(asymptotic, "Battery",
+                        lambda table, Battery=asymptotic.Battery: batteries.append(table.cells)
+                        or Battery(table))
     for run in (1, 2):  # a second run keeps nothing from the first
-        report = calibration(model, n_total, trials=trials, alphas=alphas, seed=seed)
+        result = calibration(model, n_total, trials=trials, alphas=alphas, seed=seed)
         assert Counter(enumerated) == dict.fromkeys(marginals, run)
+        assert Counter(batteries) == dict.fromkeys(distinct, run)
     reference = _reference_calibration(model, n_total, trials, alphas, seed)
-    assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
+    assert json.dumps(result.to_dict()) == json.dumps(reference.to_dict())

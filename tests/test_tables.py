@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from exactlex import (
     EmptyTableError,
     expected_counts,
-    independence_model,
     make_table,
     small_expected_warning,
     transpose,
@@ -91,15 +90,6 @@ def test_expected_commutes_with_transpose(t):
     assert direct.m12 == swapped.m21
     assert direct.m21 == swapped.m12
     assert direct.m22 == swapped.m22
-
-
-@given(nonempty_tables())
-def test_independence_model_matches_marginals(t):
-    model = independence_model(t)
-    assert 0.0 <= model.p_row <= 1.0
-    assert 0.0 <= model.p_col <= 1.0
-    assert model.p_row * t.total == pytest.approx(t.row1, rel=1e-12)
-    assert model.p_col * t.total == pytest.approx(t.col1, rel=1e-12)
 
 
 def test_large_counts_round_trip_exactly():
