@@ -169,14 +169,14 @@ def calibration(
         raise InvalidParameterError(f"alphas must be distinct and in (0, 1): {alphas}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = rng.multinomial(n_total, model.probs, size=trials)
-    distinct, inverse = np.unique(draws, axis=0, return_inverse=True)
+    index: dict[tuple[int, ...], int] = {}
+    order = [index.setdefault(row, len(index)) for row in map(tuple, draws.tolist())]
     scored = [_p_values(*pair) for pair in
-              _score_distinct(ContingencyTable2x2(*row) for row in distinct.tolist()).values()]
+              _score_distinct(ContingencyTable2x2(*row) for row in index).values()]
 
     tallies = {name: TestTally() for name in TEST_NAMES}
     degenerate = 0
-    # The inverse's shape differs across numpy 2.0.x releases.
-    for i in inverse.ravel().tolist():
+    for i in order:
         scores, is_degenerate = scored[i]
         for name, p in scores:
             tallies[name].record(p, alphas)

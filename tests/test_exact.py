@@ -12,7 +12,16 @@ from exactlex import (
     make_table,
     transpose,
 )
-from exactlex.exact import WINDOW_NATS, _fisher_distribution, fisher_from_dist
+from exactlex.exact import (
+    CORE_MIN_TERMS,
+    CORE_REL,
+    TWO_SIDED_TIE_REL_TOL,
+    WINDOW_NATS,
+    _fisher_distribution,
+    _fsum_window,
+    _mode,
+    fisher_from_dist,
+)
 from oracles import rational_fisher, rational_pmf
 
 
@@ -241,3 +250,83 @@ def test_window_placed_too_narrow_is_widened(monkeypatch):
     assert win.support_lo <= placed.support_lo and placed.support_hi <= win.support_hi
     assert win.log_pmf[0] <= -WINDOW_NATS and win.log_pmf[-1] <= -WINDOW_NATS
     _assert_window_matches_full(n, r1, c1, [win.support_lo, 4000, win.support_hi])
+
+
+@pytest.mark.parametrize("n", [10**7, 10**9])
+@pytest.mark.parametrize("row1", [10**5, 141_421, 2 * 10**5])
+def test_windowed_fisher_on_large_supports(n, row1):
+    # The shapes of the benchmark's large-support `test` tables: n11 at the
+    # edges of the whole window's core, in its deep tails, at the window's
+    # edges and beyond them.
+    c1 = 4 * row1
+    win = _fisher_distribution(n, row1, c1)
+    pmf = win.pmf()
+    core = np.flatnonzero(pmf >= CORE_REL * pmf.max()) + win.support_lo
+    a, b = win.support_lo, win.support_hi
+    assert core[-1] < b  # some terms lie outside the core
+    deep = [win.support_lo + int(np.argmin(np.abs(win.log_pmf - cut))) for cut in (-400, -700)]
+    mode = _mode(n, row1, c1)
+    deep += [2 * mode - k for k in deep]
+    n11s = [core[0] - 1, core[0], core[-1], core[-1] + 1, a - 1, a, a + 1, b - 1, b, b + 1,
+            mode, a - 1000, b + 1000, 0, row1, *deep]
+    _assert_window_matches_full(n, row1, c1, {int(k) for k in n11s if 0 <= k <= row1})
+
+
+@given(st.integers(1, 10**9) | st.integers(10**5, 10**9), st.data())
+@settings(max_examples=200, deadline=None)
+def test_fsum_window_equals_fsum_on_fisher_windows(n, data):
+    # Each array fisher_from_dist sums at n11 = support_lo + idx, with the
+    # index it feeds from. The second choice of each marginal gives the long
+    # windows whose sums have a core.
+    cap = min(n, 2 * 10**5)
+    small = data.draw(st.integers(0, cap) | st.integers(cap // 100, cap))
+    r1 = data.draw(st.sampled_from([small, n - small]))
+    c1 = data.draw(st.integers(0, n) | st.integers(n // 10, n - n // 10))
+    dist = _fisher_distribution(n, r1, c1)
+    pmf = dist.pmf()
+    idx = data.draw(st.integers(0, len(pmf) - 1))
+    mi = _mode(n, r1, c1) - dist.support_lo
+    cutoff = dist.log_pmf[idx] + math.log1p(TWO_SIDED_TIE_REL_TOL)
+    for terms, start in [(pmf, mi), (pmf[: idx + 1], min(mi, idx)), (pmf[idx:], max(0, mi - idx)),
+                         (pmf * (dist.log_pmf <= cutoff), mi)]:
+        assert _fsum_window(terms, start) == math.fsum(terms.tolist())
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=CORE_MIN_TERMS, max_size=400), st.data())
+@settings(max_examples=100, deadline=None)
+def test_fsum_window_equals_fsum_on_any_terms(values, data):
+    terms = np.array(values)
+    mi = data.draw(st.integers(0, len(values) - 1))
+    assert _fsum_window(terms, mi) == math.fsum(values)
+
+
+def test_fsum_window_with_zeros_subnormals_and_wide_range():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        size = int(rng.integers(CORE_MIN_TERMS, 600))
+        # Magnitudes from 1 down past the subnormals to 0.0, some runs zeroed.
+        terms = 10.0 ** rng.uniform(-330, 0, size)
+        terms[rng.random(size) < 0.2] = 0.0
+        if rng.random() < 0.5:  # rising then falling, like a window
+            cut = int(rng.integers(0, size))
+            terms = np.concatenate([np.sort(terms[:cut]), np.sort(terms[cut:])[::-1]])
+        mi = int(rng.integers(0, size))
+        assert _fsum_window(terms, mi) == math.fsum(terms.tolist())
+    for terms in (np.zeros(CORE_MIN_TERMS), np.full(CORE_MIN_TERMS, 5e-324)):
+        assert _fsum_window(terms, 0) == math.fsum(terms.tolist())
+
+
+def test_fsum_window_falls_back_when_the_core_sum_is_a_tie():
+    # The core [1, 2**-53] sums to a tie that rounds to even, 1.0; the terms
+    # below the core tip the whole sum up to 1 + 2**-52, so the bound cannot
+    # confirm the core's sum and the whole window is summed.
+    pad = CORE_MIN_TERMS
+    values = [1e-30] * pad + [1.0, 2**-53]
+    assert math.fsum(values[pad:]) == 1.0
+    assert _fsum_window(np.array(values), pad) == math.fsum(values) == 1.0 + 2**-52
+
+
+def test_fsum_window_whose_core_is_the_whole_window():
+    terms = np.linspace(1.0, 2.0, 3 * CORE_MIN_TERMS) ** 3
+    assert np.all(terms >= CORE_REL * terms.max())
+    assert _fsum_window(terms, 5) == math.fsum(terms.tolist())
