@@ -7,15 +7,20 @@ by the exact ratio recurrence outward from the mode and then normalized with
 a log-sum-exp, so no factorial ever overflows and extreme tails never
 underflow, even at sample sizes of 10^9.
 
-Fisher's test enumerates only the window around the mode outside which
-every term is 0.0 in double precision, O(sigma) terms instead of O(support).
-Terms are anchored at the mode, so each one inside the window is the same
-float as in the full enumeration, and every sum is the correctly rounded
-`math.fsum` of the window's terms, so the p-values are bit-identical to
-summing the whole support. fsum is fed only a window's core, the terms
-within 2**-80 of its largest: one bound on the rest shows that they cannot
-change the rounded sum, and where it cannot show that, the whole window is
-summed.
+Fisher's test enumerates only a window around the mode, O(sigma) terms
+instead of O(support). Terms are anchored at the mode, so each one inside the
+window is the same float as in the full enumeration, and every sum is the
+correctly rounded `math.fsum` of the whole support's terms, so the p-values
+are bit-identical to full enumeration. fsum is fed only a sum's core, the
+terms within 2**-80 of its largest. One bound covers the rest, including
+(support points past each window edge) x (edge term), and equal rounded sums
+with and without it show that the rest cannot change the result.
+
+So a window reaches only CORE_NATS plus the log of the support size below
+the smallest term its sums lean on: the mode's, and the observed n11's on
+both sides of the mode. WINDOW_NATS caps the depth: past it every term is
+0.0 and the bound is exactly zero, and a sum that a shallower window cannot
+certify is taken again on that exhaustive window.
 """
 
 from __future__ import annotations
@@ -32,20 +37,34 @@ from .tables import ContingencyTable2x2
 # two-sided tally; keeps exactly-tied mirror tables in deterministically.
 TWO_SIDED_TIE_REL_TOL = 1e-7
 
-# Fisher's window ends where the log-pmf is this far below the peak. exp()
-# underflows to 0.0 below about -745, so every term outside the window adds
-# exactly nothing to any sum; the margin absorbs lgamma error in placing it.
+# The deepest a Fisher window reaches: its edges lie where the log-pmf is
+# this far below the peak, or at the ends of the support. exp() underflows to
+# 0.0 below about -745, so every term outside this exhaustive window adds
+# exactly nothing to any sum.
 WINDOW_NATS = 800.0
 
 # A window sum feeds fsum only its core, from the first to the last term at
 # least this fraction of the largest. The rest enter as one bound on their
 # total, under 2 * count * 2**-80 of the sum, or 2**-26 * count of its ulp;
-# the whole window is summed only when the core's sum lies that close below
-# a rounding boundary.
+# only when the core's sum lies that close below a rounding boundary is the
+# whole window summed, or a window with terms beyond it deepened.
 CORE_REL = 2.0**-80
 # A shorter window is summed whole: fsum spends about 50 ns a term on it,
 # less than the numpy calls that find a core (about 4 us).
 CORE_MIN_TERMS = 128
+# A window reaches this far, plus the log of the support size, below the
+# smallest term its sums lean on: then (points beyond an edge) x (edge term)
+# is under one core floor.
+CORE_NATS = -math.log(CORE_REL)
+# Edges aim this much deeper than the check on the enumerated terms asks:
+# they are placed on a log-pmf ratio accurate to a few hundredths of a nat.
+SEED_NATS = 1.0
+# From here up, lgamma(y) - lgamma(x) is taken from Stirling's series: an
+# ulp of lgamma(2**40) is already 0.004 nats, and of lgamma(10**20) 5e5.
+STIRLING_MIN = 2**40
+# The most terms numpy can hold in one float64 array; a longer window is
+# refused like any other too large to allocate.
+_MAX_TERMS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 
 @dataclass(frozen=True)
@@ -54,8 +73,9 @@ class HypergeomDist:
 
     `support_lo..support_hi` is the enumerated range. From
     `hypergeom_distribution` it is the full support; the window Fisher's
-    test enumerates may be narrower, and every term outside it is 0.0 in
-    double precision.
+    test enumerates may be narrower, leaving out `beyond_lo` support points
+    below it and `beyond_hi` above. No term left out is larger than the
+    term at the nearer edge, and all are 0.0 when that edge term is.
     """
 
     n_total: int
@@ -64,6 +84,8 @@ class HypergeomDist:
     support_lo: int
     support_hi: int
     log_pmf: np.ndarray  # indexed by n11 - support_lo
+    beyond_lo: int = 0
+    beyond_hi: int = 0
 
     @property
     def support(self) -> range:
@@ -103,13 +125,19 @@ def _mode(n_total: int, row1_total: int, col1_total: int) -> int:
     return (row1_total + 1) * (col1_total + 1) // (n_total + 2)
 
 
-def _enumerate(n_total: int, row1_total: int, col1_total: int, lo: int, hi: int) -> HypergeomDist:
-    """Normalized log-pmf of n11 over [lo, hi], a range that holds the mode.
+def _enumerate(n_total: int, row1_total: int, col1_total: int, lo: int, hi: int,
+               beyond_lo: int = 0, beyond_hi: int = 0) -> HypergeomDist | None:
+    """Normalized log-pmf of n11 over [lo, hi], a range that holds the mode
+    and leaves out `beyond_lo` and `beyond_hi` support points below and above
+    it, or None when the terms left out make the normaliser uncertain.
 
     The recurrence and its running sums start at the mode whatever the range,
-    so a term has the same value in every range that holds it.
+    so a term has the same value in every range that holds it, as long as
+    the normaliser, the sum over the whole support, is the same.
     """
     size = hi - lo + 1
+    if size > _MAX_TERMS:
+        raise MemoryError(f"cannot enumerate a window of {size} terms")
 
     # Step ratio pmf(k+1)/pmf(k) = (row1-k)(col1-k) / ((k+1)(n-row1-col1+k+1)),
     # its log accurate to a few ulps per step. With k = lo + j, each factor
@@ -134,8 +162,24 @@ def _enumerate(n_total: int, row1_total: int, col1_total: int, lo: int, hi: int)
     # Normalize so the pmf sums to 1 to machine precision regardless of any
     # drift in the base point; lgamma accuracy never enters the pmf.
     peak = unnorm.max()
-    log_norm = peak + math.log(_fsum_window(np.exp(unnorm - peak), mi))
-    return HypergeomDist(n_total, row1_total, col1_total, lo, hi, unnorm - log_norm)
+    terms = np.exp(unnorm - peak)
+    below, above = _bounds_beyond(beyond_lo, beyond_hi, terms)
+    total = _fsum_window(terms, mi, below + above)
+    if total is None:
+        return None
+    log_norm = peak + math.log(total)
+    return HypergeomDist(n_total, row1_total, col1_total, lo, hi, unnorm - log_norm,
+                         beyond_lo, beyond_hi)
+
+
+def _bounds_beyond(beyond_lo: int, beyond_hi: int, terms: np.ndarray) -> tuple[float, float]:
+    """Bounds on the total of the terms left out below and above a window,
+    given its `terms`: (points left out) x (edge term). Past an edge the
+    step ratio's running log-sum only falls away from the mode, so no term
+    there is larger than the edge's.
+    """
+    return (beyond_lo * float(terms[0]) if beyond_lo else 0.0,
+            beyond_hi * float(terms[-1]) if beyond_hi else 0.0)
 
 
 def _fsum_outward(terms: list[float], mi: int) -> float:
@@ -150,71 +194,125 @@ def _fsum_outward(terms: list[float], mi: int) -> float:
     return math.fsum(terms[mi:] + terms[:mi][::-1])
 
 
-def _fsum_window(terms: np.ndarray, mi: int) -> float:
-    """`_fsum_outward(terms.tolist(), mi)` to the bit, for nonnegative terms,
-    without feeding fsum the terms far below the largest.
+def _fsum_window(terms: np.ndarray, mi: int, beyond: float = 0.0) -> float | None:
+    """The correctly rounded sum of the nonnegative `terms` and of further
+    terms that total at most `beyond`, to the bit, without feeding fsum the
+    terms far below the largest; None when that sum is not certain.
 
-    The core runs from the first term >= floor to the last; every term
-    outside it is below floor, so their exact total is below count * floor,
-    and so below the float bound = 2 * count * floor, however that rounds.
-    Correct rounding is monotone, so fsum(core) <= fsum(all) <=
-    fsum(core + [bound]), and when the two ends are equal they are the sum.
-    Otherwise the whole window is summed.
+    The core runs from the first term >= floor = CORE_REL * max to the last;
+    a window under CORE_MIN_TERMS is all core. Every other term is below
+    floor, so the exact total of all terms outside the core is below
+    count * floor + beyond, and so below the float rest =
+    2 * (count * floor + beyond), however that rounds. Correct rounding is
+    monotone, so fsum(core) <= the whole sum <= fsum(core + [rest]), and when
+    the two ends are equal they are the sum. Otherwise, with nothing beyond,
+    the whole window is summed, as `_fsum_outward(terms.tolist(), mi)`; with
+    terms beyond, the sum is not certain, and the caller deepens its window.
     """
     size = len(terms)
-    if size < CORE_MIN_TERMS:
+    if size < CORE_MIN_TERMS and not beyond:
         return _fsum_outward(terms.tolist(), mi)
-    floor = CORE_REL * float(terms.max())
-    above = terms >= floor
-    a, b = int(above.argmax()), size - int(above[::-1].argmax())
+    a, b, floor = 0, size, 0.0
+    if size >= CORE_MIN_TERMS:
+        floor = CORE_REL * float(terms.max())
+        above = terms >= floor
+        a, b = int(above.argmax()), size - int(above[::-1].argmax())
     core = terms[a:b].tolist()
     m = min(max(mi, a), b - 1) - a
     fed = core[m:] + core[:m][::-1]
     total = math.fsum(fed)
-    if b - a < size:
-        fed.append(2.0 * (size - (b - a)) * floor)
+    rest = 2.0 * ((size - (b - a)) * floor + beyond)
+    if rest:
+        fed.append(rest)
         if math.fsum(fed) != total:
-            return _fsum_outward(terms.tolist(), mi)
+            return None if beyond else _fsum_outward(terms.tolist(), mi)
     return total
 
 
-def _fisher_distribution(n_total: int, row1_total: int, col1_total: int) -> HypergeomDist:
-    """The log-pmf over the window outside which every term is 0.0.
+def _log_gamma_ratio(x: int, y: int) -> float:
+    """lgamma(y) - lgamma(x) for integers x, y >= 1, within 0.01 nats
+    however large they are, or within 1e-15 of it where one lies below
+    STIRLING_MIN and the other far above.
 
-    Each edge starts at the first n11 whose log-pmf is WINDOW_NATS below the
-    mode's, or at the end of the support, found by bisection on the lgamma
-    log-pmf, which is concave in n11. The window is then checked on the
-    enumerated terms: a running sum only falls away from the mode, so once an
-    edge is WINDOW_NATS below the peak, so is every term beyond it. An edge
-    still above that is moved twice as far from the mode.
+    Where both are at least STIRLING_MIN, Stirling's series gives it as
+    (x - 1/2) log1p((y - x) / x) + (y - x)(log y - 1), leaving out terms
+    below 1 / (12 STIRLING_MIN); the exact integer y - x keeps it accurate
+    where lgamma's own rounding would swamp it.
+    """
+    if min(x, y) < STIRLING_MIN:
+        return math.lgamma(y) - math.lgamma(x)
+    d = y - x
+    return (x - 0.5) * math.log1p(d / x) + d * (math.log(y) - 1.0)
+
+
+def _fisher_distribution(n_total: int, row1_total: int, col1_total: int,
+                         n11s: tuple[int, ...] | None = None) -> HypergeomDist:
+    """The log-pmf over a window deep enough for the sums at each of `n11s`;
+    with no n11s, the exhaustive window outside which every term is 0.0.
+
+    Depth: the largest term each sum adds is the mode's for the normaliser
+    and n11's for its tails and, on the far side of the mode, for the
+    two-sided sum. Each edge lies CORE_NATS + log(support size) below the
+    smallest of those, so (points beyond) x (edge term) stays under one core
+    floor of every sum (see `_fsum_window`). The depth is capped at
+    WINDOW_NATS, and a support whose both ends lie within WINDOW_NATS is
+    enumerated whole, as with no n11s.
+
+    Each edge starts at the first n11 that deep, or at the end of the
+    support, found by bisection on the log-pmf ratio to the mode, concave in
+    n11, aimed SEED_NATS deeper. The window is then checked on the enumerated
+    terms: a running sum only falls away from the mode, so once an edge is
+    deep enough, so is every term beyond it. An edge short of that, or of an
+    n11, is moved twice as far from the mode. A window too shallow to
+    certify its normaliser gives way to the exhaustive window.
     """
     lo, hi = _support(n_total, row1_total, col1_total)
     mode = _mode(n_total, row1_total, col1_total)
     n22_base = n_total - row1_total - col1_total
 
-    def log_term(k: int) -> float:
-        return -(math.lgamma(k + 1) + math.lgamma(row1_total - k + 1)
-                 + math.lgamma(col1_total - k + 1) + math.lgamma(n22_base + k + 1))
+    def log_sum(k: int) -> float:
+        return (math.lgamma(k + 1) + math.lgamma(row1_total - k + 1)
+                + math.lgamma(col1_total - k + 1) + math.lgamma(n22_base + k + 1))
 
-    cut = log_term(mode) - WINDOW_NATS
+    at_mode = log_sum(mode)
 
-    def edge(end: int) -> int:
-        if log_term(end) >= cut:
+    def log_rel(k: int) -> float:
+        # log(pmf(k) / pmf(mode)); past STIRLING_MIN, lgamma's own rounding
+        # would swamp a difference of two log_sum values.
+        if n_total < STIRLING_MIN:
+            return at_mode - log_sum(k)
+        return -(_log_gamma_ratio(mode + 1, k + 1)
+                 + _log_gamma_ratio(row1_total - mode + 1, row1_total - k + 1)
+                 + _log_gamma_ratio(col1_total - mode + 1, col1_total - k + 1)
+                 + _log_gamma_ratio(n22_base + mode + 1, n22_base + k + 1))
+
+    def edge(end: int, rel_end: float, nats: float) -> int:
+        if rel_end >= -nats:
             return end
         inside, outside = mode, end
         while abs(outside - inside) > 1:
             mid = (inside + outside) // 2
-            if log_term(mid) >= cut:
+            if log_rel(mid) >= -nats:
                 inside = mid
             else:
                 outside = mid
         return outside
 
-    a, b = edge(lo), edge(hi)
+    rel_lo, rel_hi = log_rel(lo), log_rel(hi)
+    depth = CORE_NATS + math.log(hi - lo + 1)
+    nats = WINDOW_NATS
+    if n11s is not None and min(rel_lo, rel_hi) < -WINDOW_NATS:
+        nats = min(WINDOW_NATS, depth + SEED_NATS - min(0.0, *map(log_rel, n11s)))
+    a, b = edge(lo, rel_lo, nats), edge(hi, rel_hi, nats)
     while True:
-        dist = _enumerate(n_total, row1_total, col1_total, a, b)
-        widen_a = a > lo and dist.log_pmf[0] > -WINDOW_NATS
-        widen_b = b < hi and dist.log_pmf[-1] > -WINDOW_NATS
+        dist = _enumerate(n_total, row1_total, col1_total, a, b, a - lo, hi - b)
+        if dist is None and nats < WINDOW_NATS:
+            return _fisher_distribution(n_total, row1_total, col1_total)
+        floor = -WINDOW_NATS
+        if dist is not None and nats < WINDOW_NATS and a <= min(n11s) and max(n11s) <= b:
+            floor = max(floor, min(dist.log_pmf[k - a] for k in (mode, *n11s)) - depth)
+        widen_a = a > lo and (dist is None or dist.log_pmf[0] > floor)
+        widen_b = b < hi and (dist is None or dist.log_pmf[-1] > floor)
         if not (widen_a or widen_b):
             return dist
         if widen_a:
@@ -228,7 +326,7 @@ def hypergeom_distribution(n_total: int, row1_total: int, col1_total: int) -> Hy
 
     Cost is O(support size) = O(min(row1_total, col1_total) - support_lo).
     Fisher's test does not need this: `fisher_exact` enumerates only the
-    O(sigma) terms that are nonzero in double precision.
+    O(sigma) terms its sums can see.
     """
     lo, hi = _support(n_total, row1_total, col1_total)
     return _enumerate(n_total, row1_total, col1_total, lo, hi)
@@ -237,35 +335,46 @@ def hypergeom_distribution(n_total: int, row1_total: int, col1_total: int) -> Hy
 def fisher_from_dist(dist: HypergeomDist, n11: int) -> FisherResult:
     """Tail sums of an already-enumerated distribution at the observed n11.
 
-    An n11 outside the enumerated range lies beyond a window whose outer
-    terms are all 0.0; its own probability and the tail away from the window
-    are then 0.0, and the other tail holds the whole mass.
+    Each sum covers the whole support: the terms a window leaves out enter
+    as the bound `_bounds_beyond` puts on them. An n11 past an edge whose term
+    is 0.0 has probability 0.0, as has the tail away from the window, and
+    the other tail holds the whole mass; past an edge whose term is not 0.0,
+    the window is too shallow for it, which is an error. A sum that the bound
+    leaves uncertain is taken again on the exhaustive window.
     """
     pmf = dist.pmf()
-    mi = _mode(dist.n_total, dist.row1_total, dist.col1_total) - dist.support_lo
-    if not dist.support_lo <= n11 <= dist.support_hi:
-        whole = min(1.0, _fsum_window(pmf, mi))
-        if n11 < dist.support_lo:
-            return FisherResult(left_p=0.0, right_p=whole, two_sided_p=0.0, point_p=0.0)
-        return FisherResult(left_p=whole, right_p=0.0, two_sided_p=0.0, point_p=0.0)
-    idx = n11 - dist.support_lo
-    point = float(pmf[idx])
-    left = min(1.0, _fsum_window(pmf[: idx + 1], min(mi, idx)))
-    right = min(1.0, _fsum_window(pmf[idx:], max(0, mi - idx)))
-    cutoff = dist.log_pmf[idx] + math.log1p(TWO_SIDED_TIE_REL_TOL)
-    two = min(1.0, _fsum_window(pmf * (dist.log_pmf <= cutoff), mi))
-    return FisherResult(left_p=left, right_p=right, two_sided_p=two, point_p=point)
+    lo, hi = dist.support_lo, dist.support_hi
+    mi = _mode(dist.n_total, dist.row1_total, dist.col1_total) - lo
+    below, above = _bounds_beyond(dist.beyond_lo, dist.beyond_hi, pmf)
+    if n11 < lo and below or n11 > hi and above:
+        raise ValueError(f"n11 = {n11} lies beyond the enumerated window [{lo}, {hi}]")
+    if lo <= n11 <= hi:
+        idx = n11 - lo
+        point = float(pmf[idx])
+        cutoff = dist.log_pmf[idx] + math.log1p(TWO_SIDED_TIE_REL_TOL)
+        sums = (_fsum_window(pmf[: idx + 1], min(mi, idx), below),
+                _fsum_window(pmf[idx:], max(0, mi - idx), above),
+                _fsum_window(pmf * (dist.log_pmf <= cutoff), mi, below + above))
+    else:
+        point, whole = 0.0, _fsum_window(pmf, mi, below + above)
+        sums = (0.0, whole, 0.0) if n11 < lo else (whole, 0.0, 0.0)
+    if None in sums:
+        return fisher_from_dist(_fisher_distribution(dist.n_total, dist.row1_total, dist.col1_total),
+                                n11)
+    left, right, two = sums
+    return FisherResult(left_p=min(1.0, left), right_p=min(1.0, right),
+                        two_sided_p=min(1.0, two), point_p=point)
 
 
 def fisher_exact(table: ContingencyTable2x2) -> FisherResult:
     """Fisher's exact test: tail sums of the hypergeometric distribution of n11.
 
-    Only the window around the mode where terms are nonzero in double
-    precision is enumerated, O(sigma) terms; the result equals
+    Only a window around the mode as deep as these sums need is enumerated,
+    O(sigma) terms; the result equals
     `fisher_from_dist(hypergeom_distribution(...), n11)` to the bit.
 
     A zero marginal forces a single feasible table, which is certain under the
     null; all four probabilities are then 1.
     """
-    dist = _fisher_distribution(table.total, table.row1, table.col1)
+    dist = _fisher_distribution(table.total, table.row1, table.col1, (table.n11,))
     return fisher_from_dist(dist, table.n11)

@@ -6,7 +6,6 @@ by the statistics list, sample size, and a small-expected-count warning.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable
 
 from . import asymptotic
@@ -46,16 +45,20 @@ def _score_distinct(
 
     Word-pair and sampled tables repeat heavily, so each distinct table is
     scored once, and tables with equal marginals (N, row1, col1) share one
-    enumeration of Fisher's window. That cache lives for this call only.
-    Each battery computes a test on first access.
+    enumeration of Fisher's window, as deep as their lowest and highest n11
+    need (the deepest n11 is one of the two). Each battery computes a test
+    on first access.
     """
-    distribution = functools.cache(_fisher_distribution)
-    scores: dict[tuple[int, int, int, int], tuple[FisherResult, asymptotic.Battery]] = {}
-    for table in tables:
-        if table.cells not in scores:
-            dist = distribution(table.total, table.row1, table.col1)
-            scores[table.cells] = (fisher_from_dist(dist, table.n11), asymptotic.Battery(table))
-    return scores
+    distinct = {table.cells: table for table in tables}
+    spans: dict[tuple[int, int, int], tuple[int, int]] = {}
+    for table in distinct.values():
+        key = (table.total, table.row1, table.col1)
+        low, high = spans.get(key, (table.n11, table.n11))
+        spans[key] = (min(low, table.n11), max(high, table.n11))
+    dists = {key: _fisher_distribution(*key, n11s=span) for key, span in spans.items()}
+    return {cells: (fisher_from_dist(dists[table.total, table.row1, table.col1], table.n11),
+                    asymptotic.Battery(table))
+            for cells, table in distinct.items()}
 
 
 def _fmt(value: float, decimals: int, width: int = 10) -> str:

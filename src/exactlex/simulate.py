@@ -167,6 +167,8 @@ def calibration(
     # Written so that NaN fails.
     if not all(0.0 < alpha < 1.0 for alpha in alphas) or len(set(alphas)) < len(alphas):
         raise InvalidParameterError(f"alphas must be distinct and in (0, 1): {alphas}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = rng.multinomial(n_total, model.probs, size=trials)
     index: dict[tuple[int, ...], int] = {}

@@ -208,7 +208,7 @@ def test_scan_scores_each_table_and_marginal_once(slot, fixed, min_count, monkey
 
     enumerated, batteries = [], []
     monkeypatch.setattr(report, "_fisher_distribution",
-                        lambda *key: enumerated.append(key) or _fisher_distribution(*key))
+                        lambda *key, n11s: enumerated.append(key) or _fisher_distribution(*key, n11s))
     monkeypatch.setattr(asymptotic, "Battery",
                         lambda table, Battery=asymptotic.Battery: batteries.append(table.cells)
                         or Battery(table))
@@ -219,6 +219,37 @@ def test_scan_scores_each_table_and_marginal_once(slot, fixed, min_count, monkey
         assert len({id(r) for r in records}) == len(records)
         assert Counter(enumerated) == dict.fromkeys(marginals, scan)
         assert Counter(batteries) == dict.fromkeys(distinct, scan)
+
+
+def test_scan_enumerates_each_marginal_once_as_deep_as_its_deepest_n11(monkeypatch):
+    # N = 10**7 and "oil" 10**5 times first: the partners q0..q4 all have
+    # column total 4*10**5, so one marginal whose mode is 4000 (sigma about
+    # 62). Their n11 lie from the mode out to 174 nats below it, so the
+    # tables alone would need windows of different depths.
+    counts = BigramCounts()
+    n11s = [4000, 4100, 4600, 5200, 3000]
+    for i, n11 in enumerate(n11s):
+        counts.add_pair("oil", f"q{i}", n11)
+        counts.add_pair("gas", f"q{i}", 4 * 10**5 - n11)
+    counts.add_pair("oil", "rest", 10**5 - sum(n11s))
+    counts.add_pair("pad", "pad", 10**7 - counts.total_bigrams)
+    tables = {w: bigram_table(counts, "oil", w) for w in [f"q{i}" for i in range(len(n11s))] + ["rest"]}
+    marginals = {(t.total, t.row1, t.col1) for t in tables.values()}
+    assert len(marginals) == 2
+    key = (10**7, 10**5, 4 * 10**5)
+    assert len({len(_fisher_distribution(*key, (n11,)).log_pmf) for n11 in n11s}) == len(n11s)
+
+    enumerated = []
+    monkeypatch.setattr(report, "_fisher_distribution",
+                        lambda *key, n11s: enumerated.append((key, n11s)) or _fisher_distribution(*key, n11s))
+    records = association_scan(counts, fixed_first="oil")
+    assert Counter(k for k, _ in enumerated) == dict.fromkeys(marginals, 1)
+    assert dict(enumerated)[key] == (min(n11s), max(n11s))
+    assert len(records) == len(tables)
+    for r in records:
+        fisher = fisher_exact(tables[r.word])
+        assert (r.exact_left_p, r.exact_right_p, r.exact_two_p, r.point_p) == \
+            (fisher.left_p, fisher.right_p, fisher.two_sided_p, fisher.point_p)
 
 
 def _reference_scan(counts, slot, fixed, min_count):

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -6,6 +7,8 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactlex import cli
 from exactlex.cli import (
@@ -166,6 +169,8 @@ def test_missing_input_file_exits_1(capsys):
     ["simulate", "--p-row", "0.3", "--p-col", "0.3", "--n", "50", "--trials", "20", "--alpha", "-1"],
     ["simulate", "--p-row", "0.3", "--p-col", "0.3", "--n", "50", "--trials", "20", "--alpha", "0"],
     ["simulate", "--p-row", "0.3", "--p-col", "0.3", "--n", "50", "--trials", "20", "--alpha", "1"],
+    # A Fisher window longer than any numpy array (sigma near 10**19).
+    ["test", "--n11", str(10**40), "--n12", "1", "--n21", "1", "--n22", str(10**40)],
 ])
 def test_domain_errors_exit_1_with_one_line(argv, capsys):
     status, text = run(argv)
@@ -193,6 +198,8 @@ def test_repeated_calls_share_no_parsed_state():
     ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "10", "--trials", "300000000000000000"],
     # NaN would be written as a bare NaN, which is not JSON.
     ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "10", "--trials", "5", "--alpha", "nan"],
+    # numpy's seeding refuses a negative seed with a bare ValueError.
+    ["simulate", "--p-row", "0.5", "--p-col", "0.5", "--n", "10", "--trials", "3", "--seed", "-1"],
 ])
 def test_nan_and_oversize_simulate_inputs_exit_1(argv, capsys):
     status, text = run(argv)
@@ -307,3 +314,64 @@ def test_table_output_is_golden(argvs, digest):
         assert status == 0
         sha.update(text.encode("utf-8"))
     assert sha.hexdigest() == digest
+
+
+# A valid argv per subcommand, as (flag, value) pairs; the fuzz below changes
+# one or two of them. `--n` and `--trials` stay small whatever it draws: the
+# numbers it can put there are either at most 10 or refused before any draw.
+_FUZZ_BASE = {
+    "test": [("--n11", "3"), ("--n12", "1"), ("--n21", "1"), ("--n22", "3"), ("--format", "json")],
+    "assoc": [("--input", "-"), ("--second", "tea"), ("--min-count", "1"), ("--format", "tsv"),
+              ("--lowercase", "true")],
+    "count": [("--input", "-"), ("--bigrams", None), ("--strip-punct", "false")],
+    "zipf": [("--input", "-"), ("--format", "json"), ("--sentence-reset", "true")],
+    "simulate": [("--p-row", "0.5"), ("--p-col", "0.5"), ("--n", "10"), ("--trials", "3"),
+                 ("--alpha", "0.05"), ("--seed", "1")],
+    "tea": [],
+}
+_FUZZ_VALUES = ["-1", "0", "0.5", "nan", "-inf", "1e30", str(10**30), "tea"]
+_FUZZ_STDIN = st.one_of(
+    st.just(b""),
+    st.just(b"strong tea. black tea. strong tea!\n"),
+    st.just(b"tea \xff\xfe tea"),  # invalid UTF-8
+    st.binary(max_size=64),
+    st.lists(st.sampled_from(["tea", "strong", "Tea", ".", " ", "\n", "\u00e9"]),
+             max_size=30).map(lambda words: " ".join(words).encode("utf-8")),
+)
+
+
+@st.composite
+def _fuzz_argv(draw, subcommand):
+    pairs = list(_FUZZ_BASE[subcommand])
+    for _ in range(draw(st.integers(1, 2))):
+        flags = [flag for flag, _ in pairs] + ["--junk"]
+        flag = draw(st.sampled_from(sorted(set(flags))))
+        value = draw(st.sampled_from([None, *_FUZZ_VALUES]))  # None drops the value
+        pairs = [(f, v) for f, v in pairs if f != flag] + [(flag, value)]
+    argv = [subcommand]
+    for flag, value in pairs:
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@pytest.mark.parametrize("subcommand", sorted(_FUZZ_BASE))
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_and_stdin_exit_0_1_or_2_with_one_line(subcommand, data):
+    argv = data.draw(_fuzz_argv(subcommand), label="argv")
+    stdin = data.draw(_FUZZ_STDIN, label="stdin")
+    err = io.StringIO()
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stderr(err))
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        old_stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(stdin))
+        stack.callback(setattr, sys, "stdin", old_stdin)
+        try:
+            status = run_command(argv, out=io.StringIO())
+        except SystemExit as exc:  # argparse: 2 on a usage error
+            status = exc.code
+    message = err.getvalue()
+    assert status in (0, 1, 2)
+    assert "Traceback" not in message
+    if status == 1:
+        assert len(message.splitlines()) <= 1 and message.startswith("exactlex: ")

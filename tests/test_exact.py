@@ -12,8 +12,10 @@ from exactlex import (
     make_table,
     transpose,
 )
+from exactlex import exact
 from exactlex.exact import (
     CORE_MIN_TERMS,
+    CORE_NATS,
     CORE_REL,
     TWO_SIDED_TIE_REL_TOL,
     WINDOW_NATS,
@@ -107,7 +109,11 @@ def test_matches_rational_oracle(n, data):
 
 
 @pytest.mark.parametrize("cells", [(2**53, 1, 1, 1), (10**20, 1, 1, 1), (2**53 + 1, 0, 2, 3),
-                                   (10**30, 3, 4, 2)])
+                                   (10**30, 3, 4, 2),
+                                   # Windows of about 23 terms in a support of 301, placed
+                                   # where lgamma itself rounds to 5e5 nats.
+                                   (3, 300, 300, 10**20), (0, 300, 300, 10**20),
+                                   (1, 299, 300, 10**20 + 12345)])
 def test_matches_rational_oracle_beyond_2_53(cells):
     # n11 past 2**53, where the step ratio's small factors such as row1 - k
     # are lost if taken as differences of two large floats.
@@ -330,3 +336,109 @@ def test_fsum_window_whose_core_is_the_whole_window():
     terms = np.linspace(1.0, 2.0, 3 * CORE_MIN_TERMS) ** 3
     assert np.all(terms >= CORE_REL * terms.max())
     assert _fsum_window(terms, 5) == math.fsum(terms.tolist())
+
+
+def _sigma(n, r1, c1):
+    return math.sqrt(r1 * c1 * (n - r1) * (n - c1) / (n * n * max(1, n - 1)))
+
+
+def _n11_at_depth(full, mode, nats):
+    """The first n11 on each side of the mode whose log-pmf is `nats` below 0."""
+    below = np.flatnonzero(full.log_pmf < -nats) + full.support_lo
+    left, right = below[below < mode], below[below > mode]
+    return [int(k) for k in (left[-1:].tolist() + right[:1].tolist())]
+
+
+@given(st.integers(1, 10**9), st.data())
+@settings(max_examples=60, deadline=None)
+def test_fisher_exact_equals_full_enumeration_at_every_depth(n, data):
+    # Either r1 or its complement is small, which keeps the support <= 5e4;
+    # most of these windows stop short of the support's ends.
+    small = data.draw(st.integers(0, min(n, 5 * 10**4)))
+    r1 = data.draw(st.sampled_from([small, n - small]))
+    c1 = data.draw(st.integers(0, n) | st.integers(n // 10, n - n // 10))
+    full = hypergeom_distribution(n, r1, c1)
+    lo, hi, mode = full.support_lo, full.support_hi, _mode(n, r1, c1)
+    sigma = _sigma(n, r1, c1)
+    shallow = _fisher_distribution(n, r1, c1, (mode,))
+    a, b = shallow.support_lo, shallow.support_hi
+    n11s = {lo, hi, mode, a - 1, a, a + 1, b - 1, b, b + 1}
+    n11s |= {round(mode + k * sigma) for k in (-10, -3, -1, 1, 3, 10)}
+    for nats in (100, 300, 500, 700, 850):  # the last lies beyond WINDOW_NATS
+        n11s.update(_n11_at_depth(full, mode, nats))
+    for n11 in sorted(k for k in n11s if lo <= k <= hi):
+        t = make_table(n11, r1 - n11, c1 - n11, n - r1 - c1 + n11)
+        assert fisher_exact(t) == fisher_from_dist(full, n11)
+
+
+def _shallow_and_deep_windows():
+    n, r1, c1 = 10**7, 10**5, 4 * 10**5
+    full = hypergeom_distribution(n, r1, c1)
+    mode = _mode(n, r1, c1)
+    deep_n11 = _n11_at_depth(full, mode, 300)[1]
+    return full, mode, deep_n11, (_fisher_distribution(n, r1, c1, (mode,)),
+                                  _fisher_distribution(n, r1, c1, (mode, deep_n11)),
+                                  _fisher_distribution(n, r1, c1))
+
+
+def test_window_reaches_as_deep_as_its_deepest_n11():
+    full, mode, deep_n11, (shallow, deep, whole) = _shallow_and_deep_windows()
+    assert whole.support_lo < deep.support_lo < shallow.support_lo
+    assert shallow.support_hi < deep.support_hi < whole.support_hi
+    depth = CORE_NATS + math.log(len(full.log_pmf))
+    for win, used in ((shallow, [mode]), (deep, [mode, deep_n11])):
+        floor = min(win.log_pmf[k - win.support_lo] for k in used) - depth
+        assert win.log_pmf[0] <= floor and win.log_pmf[-1] <= floor
+        # Terms are left out past both edges, and they are not 0.0.
+        assert win.beyond_lo == win.support_lo - full.support_lo > 0
+        assert win.beyond_hi == full.support_hi - win.support_hi > 0
+        assert win.pmf()[0] > 0.0 and win.pmf()[-1] > 0.0
+    assert whole.log_pmf[0] <= -WINDOW_NATS and whole.log_pmf[-1] <= -WINDOW_NATS
+    for win in (shallow, deep, whole):
+        assert np.array_equal(win.log_pmf, full.log_pmf[win.support_lo : win.support_hi + 1])
+        for n11 in {mode, win.support_lo, win.support_hi} | ({deep_n11} if win is not shallow else set()):
+            assert fisher_from_dist(win, n11) == fisher_from_dist(full, n11)
+
+
+def test_shallow_window_refuses_an_n11_beyond_its_edges():
+    _, _, _, (shallow, _, whole) = _shallow_and_deep_windows()
+    for n11 in (shallow.support_lo - 1, shallow.support_hi + 1):
+        with pytest.raises(ValueError, match="beyond the enumerated window"):
+            fisher_from_dist(shallow, n11)
+    # Past the exhaustive window every term is 0.0, and so are the tails.
+    assert fisher_from_dist(whole, whole.support_lo - 1).left_p == 0.0
+
+
+def test_uncertified_sums_deepen_to_the_exhaustive_window(monkeypatch):
+    # Every sum with terms left out beyond the window is refused, so each
+    # result must come from the exhaustive window, and still equal the full
+    # enumeration's to the bit.
+    full, mode, deep_n11, (shallow, deep, _) = _shallow_and_deep_windows()
+    n, r1, c1 = full.n_total, full.row1_total, full.col1_total
+    fsum_window, fisher_distribution = exact._fsum_window, exact._fisher_distribution
+    monkeypatch.setattr(exact, "_fsum_window",
+                        lambda terms, mi, beyond=0.0: None if beyond else fsum_window(terms, mi))
+    calls = []
+    monkeypatch.setattr(exact, "_fisher_distribution",
+                        lambda *args: calls.append(args) or fisher_distribution(*args))
+    for win, n11 in ((shallow, mode), (deep, deep_n11), (deep, mode + 1)):
+        expected = fisher_from_dist(full, n11)
+        calls.clear()
+        assert fisher_from_dist(win, n11) == expected  # the tail sums deepen
+        assert calls == [(n, r1, c1)]
+        calls.clear()
+        t = make_table(n11, r1 - n11, c1 - n11, n - r1 - c1 + n11)
+        assert fisher_exact(t) == expected  # the normaliser deepens
+        assert calls == [(n, r1, c1, (n11,)), (n, r1, c1)]
+
+
+def test_window_placed_accurately_past_10_19():
+    # An ulp of lgamma(10**20) is about 5e5 nats: edges bisected on a sum of
+    # lgamma values landed thousands of terms out. The window at n22 = 10**20
+    # is narrower than at 10**17, as sigma is.
+    widths = {}
+    for n22 in (10**17, 10**20):
+        win = _fisher_distribution(3 * 10**6 + n22, 2 * 10**6, 2 * 10**6)
+        assert win.log_pmf[-1] <= -WINDOW_NATS
+        widths[n22] = len(win.log_pmf)
+    assert widths[10**20] <= 2 * widths[10**17]

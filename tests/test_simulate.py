@@ -114,12 +114,18 @@ def test_alphas_outside_unit_interval_or_repeated_are_rejected(alphas):
         calibration(MultinomialModel.independent(0.3, 0.3), 50, trials=20, alphas=alphas)
 
 
+def test_negative_seed_is_rejected_before_any_draw(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", None)  # any draw would fail otherwise
+    with pytest.raises(InvalidParameterError, match="seed"):
+        calibration(MultinomialModel.independent(0.5, 0.5), 10, trials=3, seed=-1)
+
+
 def test_windowed_cache_matches_full_support(monkeypatch):
     # Supports of about 240 whose windows end short of the upper end.
     model = MultinomialModel.independent(0.03, 0.03)
     assert exact._fisher_distribution(8000, 240, 240).support_hi < 240
     windowed = calibration(model, 8000, trials=10_000, seed=5).to_dict()
-    monkeypatch.setattr(report, "_fisher_distribution", hypergeom_distribution)
+    monkeypatch.setattr(report, "_fisher_distribution", lambda *key, n11s: hypergeom_distribution(*key))
     assert calibration(model, 8000, trials=10_000, seed=5).to_dict() == windowed
 
 
@@ -170,8 +176,8 @@ def test_calibration_enumerates_each_marginal_once(monkeypatch):
     assert len(marginals) < len(distinct)
     enumerated, batteries = [], []
     monkeypatch.setattr(report, "_fisher_distribution",
-                        lambda *key, original=report._fisher_distribution:
-                        enumerated.append(key) or original(*key))
+                        lambda *key, n11s, original=report._fisher_distribution:
+                        enumerated.append(key) or original(*key, n11s))
     monkeypatch.setattr(asymptotic, "Battery",
                         lambda table, Battery=asymptotic.Battery: batteries.append(table.cells)
                         or Battery(table))
