@@ -26,6 +26,7 @@ certify is taken again on that exhaustive window.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -259,12 +260,13 @@ def _fisher_distribution(n_total: int, row1_total: int, col1_total: int,
     enumerated whole, as with no n11s.
 
     Each edge starts at the first n11 that deep, or at the end of the
-    support, found by bisection on the log-pmf ratio to the mode, concave in
-    n11, aimed SEED_NATS deeper. The window is then checked on the enumerated
-    terms: a running sum only falls away from the mode, so once an edge is
-    deep enough, so is every term beyond it. An edge short of that, or of an
-    n11, is moved twice as far from the mode. A window too shallow to
-    certify its normaliser gives way to the exhaustive window.
+    support, placed by `bisect_left` between the mode and that end on the
+    log-pmf ratio to the mode, concave in n11, aimed SEED_NATS deeper. The
+    window is then checked on the enumerated terms: a running sum only falls
+    away from the mode, so once an edge is deep enough, so is every term
+    beyond it. An edge short of that, or of an n11, is moved twice as far
+    from the mode. A window too shallow to certify its normaliser gives way
+    to the exhaustive window.
     """
     lo, hi = _support(n_total, row1_total, col1_total)
     mode = _mode(n_total, row1_total, col1_total)
@@ -286,24 +288,15 @@ def _fisher_distribution(n_total: int, row1_total: int, col1_total: int,
                  + _log_gamma_ratio(col1_total - mode + 1, col1_total - k + 1)
                  + _log_gamma_ratio(n22_base + mode + 1, n22_base + k + 1))
 
-    def edge(end: int, rel_end: float, nats: float) -> int:
-        if rel_end >= -nats:
-            return end
-        inside, outside = mode, end
-        while abs(outside - inside) > 1:
-            mid = (inside + outside) // 2
-            if log_rel(mid) >= -nats:
-                inside = mid
-            else:
-                outside = mid
-        return outside
-
     rel_lo, rel_hi = log_rel(lo), log_rel(hi)
     depth = CORE_NATS + math.log(hi - lo + 1)
     nats = WINDOW_NATS
     if n11s is not None and min(rel_lo, rel_hi) < -WINDOW_NATS:
         nats = min(WINDOW_NATS, depth + SEED_NATS - min(0.0, *map(log_rel, n11s)))
-    a, b = edge(lo, rel_lo, nats), edge(hi, rel_hi, nats)
+    a = lo if rel_lo >= -nats else (
+        lo - 1 + bisect_left(range(lo, mode), True, key=lambda k: log_rel(k) >= -nats))
+    b = hi if rel_hi >= -nats else (
+        mode + bisect_left(range(mode, hi), True, key=lambda k: log_rel(k) < -nats))
     while True:
         dist = _enumerate(n_total, row1_total, col1_total, a, b, a - lo, hi - b)
         if dist is None and nats < WINDOW_NATS:

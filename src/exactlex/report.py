@@ -20,6 +20,10 @@ STAT_LABELS = {
     "mantel_haenszel": "Mantel-Haenszel Chi-Square",
 }
 
+# Decimals of every statistic, expected count and probability the report
+# prints; percents take 2.
+DECIMALS = 3
+
 # Every battery result compute_all reports, in the order their notes print.
 NOTE_LABELS = {**STAT_LABELS, "t_test": "T-Statistic", "measures": "Association measures"}
 
@@ -65,7 +69,7 @@ def _fmt(value: float, decimals: int, width: int = 10) -> str:
     return f"{value:>{width}.{decimals}f}"
 
 
-def _grid(table: ContingencyTable2x2, expected, decimals: int) -> list[str]:
+def _grid(table: ContingencyTable2x2, expected) -> list[str]:
     n = table.total
     lines = []
     header = f"{'':12}{'col1':>10}{'col2':>10}{'Total':>10}"
@@ -77,9 +81,9 @@ def _grid(table: ContingencyTable2x2, expected, decimals: int) -> list[str]:
     for name, obs, exp, row_total in rows:
         lines.append(name)
         lines.append(f"{'Frequency':<12}{obs[0]:>10}{obs[1]:>10}{row_total:>10}")
-        lines.append(f"{'Expected':<12}{_fmt(exp[0], decimals)}{_fmt(exp[1], decimals)}")
+        lines.append(f"{'Expected':<12}{_fmt(exp[0], DECIMALS)}{_fmt(exp[1], DECIMALS)}")
         lines.append(
-            f"{'Deviation':<12}{_fmt(obs[0] - exp[0], decimals)}{_fmt(obs[1] - exp[1], decimals)}"
+            f"{'Deviation':<12}{_fmt(obs[0] - exp[0], DECIMALS)}{_fmt(obs[1] - exp[1], DECIMALS)}"
         )
         lines.append(
             f"{'Percent':<12}{_fmt(100 * obs[0] / n, 2)}{_fmt(100 * obs[1] / n, 2)}"
@@ -95,11 +99,7 @@ def _grid(table: ContingencyTable2x2, expected, decimals: int) -> list[str]:
     return lines
 
 
-def render_freq_report(
-    results: dict,
-    stat_decimals: int = 3,
-    prob_decimals: int = 3,
-) -> str:
+def render_freq_report(results: dict) -> str:
     """Render the full report for the output of compute_all().
 
     Rendering is pure: the same results always give byte-identical text.
@@ -108,7 +108,7 @@ def render_freq_report(
     table: ContingencyTable2x2 = results["table"]
     fisher: FisherResult = results["fisher"]
     lines = ["TABLE OF X BY Y", ""]
-    lines.extend(_grid(table, results["expected"], stat_decimals))
+    lines.extend(_grid(table, results["expected"]))
     lines += ["", "STATISTICS FOR TABLE OF X BY Y", ""]
     lines.append(f"{'Statistic':<30}{'DF':>4}{'Value':>12}{'Prob':>10}")
     for name in ("pearson", "g2", "yates", "mantel_haenszel"):
@@ -119,27 +119,27 @@ def render_freq_report(
         else:
             lines.append(
                 f"{label:<30}{result.df:>4}"
-                f"{_fmt(result.statistic, stat_decimals, 12)}"
-                f"{_fmt(result.p_value, prob_decimals)}"
+                f"{_fmt(result.statistic, DECIMALS, 12)}"
+                f"{_fmt(result.p_value, DECIMALS)}"
             )
     fisher_label = "Fisher's Exact Test (Left)"
-    lines.append(f"{fisher_label:<46}{_fmt(fisher.left_p, prob_decimals)}")
-    lines.append(f"{'(Right)':>26}{'':20}{_fmt(fisher.right_p, prob_decimals)}")
-    lines.append(f"{'(2-Tail)':>27}{'':19}{_fmt(fisher.two_sided_p, prob_decimals)}")
-    lines.append(f"{f'P(n11 = {table.n11})':<46}{_fmt(fisher.point_p, prob_decimals)}")
+    lines.append(f"{fisher_label:<46}{_fmt(fisher.left_p, DECIMALS)}")
+    lines.append(f"{'(Right)':>26}{'':20}{_fmt(fisher.right_p, DECIMALS)}")
+    lines.append(f"{'(2-Tail)':>27}{'':19}{_fmt(fisher.two_sided_p, DECIMALS)}")
+    lines.append(f"{f'P(n11 = {table.n11})':<46}{_fmt(fisher.point_p, DECIMALS)}")
     measures: AssociationMeasures | None = results["measures"]
     if measures is not None:
-        lines.append(f"{'Phi Coefficient':<34}{_fmt(measures.phi, stat_decimals, 12)}")
+        lines.append(f"{'Phi Coefficient':<34}{_fmt(measures.phi, DECIMALS, 12)}")
         lines.append(
-            f"{'Contingency Coefficient':<34}{_fmt(measures.contingency_coefficient, stat_decimals, 12)}"
+            f"{'Contingency Coefficient':<34}{_fmt(measures.contingency_coefficient, DECIMALS, 12)}"
         )
         cramers_label = "Cramer's V"
-        lines.append(f"{cramers_label:<34}{_fmt(measures.cramers_v, stat_decimals, 12)}")
+        lines.append(f"{cramers_label:<34}{_fmt(measures.cramers_v, DECIMALS, 12)}")
     t_result = results["t_test"]
     if t_result is not None:
         lines.append(
-            f"{'T-Statistic (normal tail)':<34}{_fmt(t_result.statistic, stat_decimals, 12)}"
-            f"{_fmt(t_result.p_value, prob_decimals)}"
+            f"{'T-Statistic (normal tail)':<34}{_fmt(t_result.statistic, DECIMALS, 12)}"
+            f"{_fmt(t_result.p_value, DECIMALS)}"
         )
     lines += ["", f"Sample Size = {table.total}"]
     warning = results["warning"]

@@ -130,16 +130,12 @@ def sample_table(model: MultinomialModel, n_total: int,
     return ContingencyTable2x2(n11, n12, n21, n22)
 
 
-def _p_values(fisher: FisherResult,
-              tests: asymptotic.Battery) -> tuple[list[tuple[str, float]], bool]:
-    """Each test's p-value on one table, leaving out the tests that refuse it,
-    and whether the asymptotic chi-square tests found it degenerate."""
-    scores = [("fisher_left", fisher.left_p), ("fisher_right", fisher.right_p),
-              ("fisher_two", fisher.two_sided_p)]
-    scores += [(name, result.p_value)
-               for name, result in (("x2", tests.pearson), ("g2", tests.g2), ("t", tests.t_test))
-               if result is not None]
-    return scores, "pearson" in tests.notes
+def _p_values(fisher: FisherResult, tests: asymptotic.Battery) -> tuple[float, ...]:
+    """Each test's p-value on one table, in TEST_NAMES order, NaN for a test
+    that refuses the table."""
+    return (fisher.left_p, fisher.right_p, fisher.two_sided_p,
+            *(math.nan if result is None else result.p_value
+              for result in (tests.pearson, tests.g2, tests.t_test)))
 
 
 def calibration(
@@ -157,9 +153,11 @@ def calibration(
     the exact test (whose p-values are 1 there) and are excluded from the
     asymptotic tallies, per each test's own error rules.
 
-    Each distinct draw is scored once (see `report._score_distinct`). The
-    trials are then tallied in draw order, which keeps every p-value sum the
-    same left-to-right float sum as scoring trial by trial.
+    Each distinct draw is scored once (see `report._score_distinct`). Each
+    test's tally then comes from its column of p-values over the trials in
+    draw order: its valid trials are the non-NaN values, and its p-value sum
+    is the last of their `np.cumsum`, which adds left to right, so it is the
+    same float sum as scoring trial by trial.
     """
     _check_size("sample size", n_total)
     _check_size("trials", trials, _MAX_TRIALS)
@@ -170,19 +168,20 @@ def calibration(
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    draws = rng.multinomial(n_total, model.probs, size=trials)
+    rows = map(tuple, rng.multinomial(n_total, model.probs, size=trials).tolist())
     index: dict[tuple[int, ...], int] = {}
-    order = [index.setdefault(row, len(index)) for row in map(tuple, draws.tolist())]
-    scored = [_p_values(*pair) for pair in
-              _score_distinct(ContingencyTable2x2(*row) for row in index).values()]
+    order = np.fromiter((index.setdefault(row, len(index)) for row in rows), np.intp, trials)
+    p_values = np.array([_p_values(*pair) for pair in
+                         _score_distinct(ContingencyTable2x2(*row) for row in index).values()])
 
-    tallies = {name: TestTally() for name in TEST_NAMES}
-    degenerate = 0
-    for i in order:
-        scores, is_degenerate = scored[i]
-        for name, p in scores:
-            tallies[name].record(p, alphas)
-        degenerate += is_degenerate
+    tallies = {}
+    for name, column in zip(TEST_NAMES, p_values.T):
+        p = column[order]
+        p = p[~np.isnan(p)]
+        # np.cumsum adds left to right from p[0], as TestTally.record does from 0.0: same bits.
+        tallies[name] = TestTally(
+            len(p), {alpha: int(np.count_nonzero(p <= alpha)) for alpha in alphas},
+            float(np.cumsum(p)[-1]) if len(p) else 0.0)
     return CalibrationReport(
         trials=trials,
         n_total=n_total,
@@ -191,5 +190,5 @@ def calibration(
         seed=seed,
         rng_algorithm=RNG_ALGORITHM,
         tallies=tallies,
-        degenerate_trials=degenerate,
+        degenerate_trials=trials - tallies["x2"].valid_trials,
     )

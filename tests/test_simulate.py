@@ -160,6 +160,8 @@ def _reference_calibration(model, n_total, trials, alphas, seed):
     (MultinomialModel.independent(0.3, 0.4), 50, 2000, (0.01, 0.05, 0.10), 2),  # dense
     (MultinomialModel.independent(0.5, 0.5), 3, 500, (0.01, 0.05, 0.10), 1),
     (MultinomialModel(0.1, 0.2, 0.3, 0.4), 40, 1000, (0.001, 0.2, 0.5), 11),
+    (MultinomialModel.independent(1e-6, 1e-6), 10, 50, (0.01, 0.05, 0.10), 0),  # no valid x2 or g2 trial
+    (MultinomialModel.independent(0.3, 0.4), 50, 1, (0.05,), 3),  # a single trial
 ])
 def test_calibration_matches_per_trial_scoring(model, n_total, trials, alphas, seed):
     report = calibration(model, n_total, trials=trials, alphas=alphas, seed=seed)
