@@ -22,7 +22,7 @@ RANK_KEYS = tuple(_P_FIELDS)
 class AssociationRecord:
     """One row of a ranked association scan (the varying word against the fixed one)."""
 
-    # The field order is the key order of `records_to_json`, written by asdict.
+    # The field order is the key order of `records_to_json`, written from vars().
     word: str
     n11: int
     m11: float

@@ -10,12 +10,12 @@ import argparse
 import functools
 import json
 import sys
-from collections import Counter
 from dataclasses import asdict
-from operator import itemgetter
+
+import numpy as np
 
 from .assoc import AssociationRecord, association_scan
-from .corpus import BigramCounts, TokenizerConfig, _count_shards, read_text, zipf_summary
+from .corpus import TokenizerConfig, _summary, _token_ids, _TokenIds, read_text
 from .errors import ExactLexError
 from .report import STAT_LABELS, compute_all, render_freq_report
 from .simulate import MultinomialModel, calibration
@@ -112,9 +112,9 @@ def _tokenizer_config(args) -> TokenizerConfig:
     )
 
 
-def _read_corpus(args) -> tuple[Counter, BigramCounts]:
-    # Inputs are read one at a time, each counted straight into one total.
-    return _count_shards(map(read_text, args.input), _tokenizer_config(args))
+def _read_corpus(args) -> _TokenIds:
+    # Inputs are read one at a time, each tokenized straight into word ids.
+    return _token_ids(map(read_text, args.input), _tokenizer_config(args))
 
 
 def _record_row(record: AssociationRecord) -> list[str]:
@@ -141,7 +141,9 @@ def records_to_tsv(records: list[AssociationRecord]) -> str:
 
 
 def records_to_json(records: list[AssociationRecord]) -> str:
-    return json.dumps(records, indent=2, default=asdict) + "\n"
+    # The fields hold only numbers, strings and None, so vars() gives the
+    # mapping asdict would, without copying each field.
+    return json.dumps([vars(r) for r in records], indent=2) + "\n"
 
 
 def _cmd_test(args, out) -> int:
@@ -162,9 +164,9 @@ def _cmd_test(args, out) -> int:
 
 
 def _cmd_assoc(args, out) -> int:
-    _, bigrams = _read_corpus(args)
+    slot, word = (1, args.second) if args.first is None else (0, args.first)
     records = association_scan(
-        bigrams,
+        _read_corpus(args).partner_counts(word, slot),
         fixed_second=args.second,
         fixed_first=args.first,
         min_count=args.min_count,
@@ -177,21 +179,26 @@ def _cmd_assoc(args, out) -> int:
 
 
 def _cmd_count(args, out) -> int:
-    words, bigrams = _read_corpus(args)
+    corpus = _read_corpus(args)
+    names = corpus.names
     if args.bigrams:
-        items = [(" ".join(pair), c) for pair, c in bigrams.pair_counts.items()]
+        codes, counts = corpus.bigram_types()
+        first, second = np.divmod(codes, len(names))
+        names = [f"{names[a]} {names[b]}" for a, b in zip(first.tolist(), second.tolist())]
     else:
-        items = list(words.items())
-    # Descending count, ties by name: a stable sort by count over name order.
-    items.sort()
-    items.sort(key=itemgetter(1), reverse=True)
-    out.write("".join(f"{name}\t{count}\n" for name, count in items))
+        counts = corpus.word_counts()
+    # Descending count, ties by name: the names are unique, so a stable sort
+    # by count over name order.
+    order = np.array(sorted(range(len(names)), key=names.__getitem__), np.intp)
+    order = order[np.argsort(-counts[order], kind="stable")].tolist()
+    counts = counts.tolist()
+    out.write("".join([f"{names[i]}\t{counts[i]}\n" for i in order]))
     return 0
 
 
 def _cmd_zipf(args, out) -> int:
-    words, bigrams = _read_corpus(args)
-    summary = zipf_summary(bigrams, words)
+    corpus = _read_corpus(args)
+    summary = _summary(corpus.word_counts(), corpus.bigram_types()[1])
     if args.format == "tsv":
         out.write("kind\tfrequency\ttypes\n")
         for freq, types in summary.word_freq_of_freq.items():

@@ -7,7 +7,10 @@ import unicodedata
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .errors import IngestionError
 
@@ -24,29 +27,16 @@ def _is_punct(ch: str) -> bool:
 
 
 def _normalise(raw: str, config: TokenizerConfig) -> str:
-    token = raw
-    if config.strip_punctuation:
-        start, end = 0, len(token)
-        while start < end and _is_punct(token[start]):
+    # No P* character is alphanumeric, so a run with alphanumeric ends has no
+    # edge punctuation to strip.
+    if config.strip_punctuation and not (raw[0].isalnum() and raw[-1].isalnum()):
+        start, end = 0, len(raw)
+        while start < end and _is_punct(raw[start]):
             start += 1
-        while end > start and _is_punct(token[end - 1]):
+        while end > start and _is_punct(raw[end - 1]):
             end -= 1
-        token = token[start:end]
-    if config.lowercase:
-        token = token.lower()
-    return token
-
-
-def _tokenize(text: str, config: TokenizerConfig, normalised: dict[str, str]) -> list[str]:
-    """`tokenize`, normalising only the runs that `normalised` (raw run ->
-    token, for this config) does not hold yet, and adding them to it."""
-    raws = text.split()
-    # The map's keys are fresh copies of the new runs, made side by side.
-    # Keys taken from `raws` would lie scattered over its memory and keep
-    # most of that from being reused once `raws` is freed.
-    for raw in " ".join(set(raws).difference(normalised)).split():
-        normalised[raw] = _normalise(raw, config)
-    return [token for token in map(normalised.__getitem__, raws) if token]
+        raw = raw[start:end]
+    return raw.lower() if config.lowercase else raw
 
 
 def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:
@@ -54,10 +44,11 @@ def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str
     stripped of leading/trailing punctuation. Empty tokens are dropped.
 
     Each distinct run is normalised once per call: word data repeats heavily,
-    so that is far fewer normalisations than tokens. Counting shares one such
-    map across every line and text it counts.
+    so that is far fewer normalisations than tokens.
     """
-    return _tokenize(text, config, {})
+    raws = text.split()
+    normalised = {raw: _normalise(raw, config) for raw in set(raws)}
+    return [token for token in map(normalised.__getitem__, raws) if token]
 
 
 @dataclass
@@ -80,14 +71,6 @@ class BigramCounts:
         self.first_counts[w1] += count
         self.second_counts[w2] += count
         self.total_bigrams += count
-
-    def _add_tokens(self, tokens: list[str]) -> None:
-        # Counter.update over an iterable counts in C; the three passes give
-        # the same counts, in the same insertion order, as add_pair per pair.
-        self.pair_counts.update(zip(tokens, tokens[1:]))
-        self.first_counts.update(tokens[:-1])
-        self.second_counts.update(tokens[1:])
-        self.total_bigrams += max(0, len(tokens) - 1)
 
     def merge(self, other: "BigramCounts", boundary: tuple[str, str] | None = None) -> "BigramCounts":
         """Add another shard's counts into this one, in place, and return self.
@@ -121,28 +104,109 @@ class CorpusSummary:
 
 def count_bigrams(tokens: list[str]) -> BigramCounts:
     """Count every adjacent token pair; fewer than two tokens give empty counts."""
-    counts = BigramCounts()
-    counts._add_tokens(tokens)
-    return counts
+    # Counter counts an iterable in C; the three passes give the same counts,
+    # in the same insertion order, as add_pair per pair.
+    return BigramCounts(Counter(zip(tokens, tokens[1:])), Counter(tokens[:-1]), Counter(tokens[1:]),
+                        max(0, len(tokens) - 1))
+
+
+@dataclass(frozen=True)
+class _TokenIds:
+    """Every token of a corpus as a word id, texts end to end.
+
+    names[i] is the word of id i. paired[k] says whether tokens k and k + 1
+    form a bigram: they do not across two texts or, with sentence_reset, two
+    lines. A bigram type is coded as id1 * V + id2, where V = len(names).
+    """
+
+    names: list[str]
+    ids: np.ndarray
+    paired: np.ndarray
+
+    def bigram_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first and the second word id of every bigram position."""
+        return self.ids[:-1][self.paired], self.ids[1:][self.paired]
+
+    def word_counts(self) -> np.ndarray:
+        return np.bincount(self.ids, minlength=len(self.names))
+
+    def bigram_types(self) -> tuple[np.ndarray, np.ndarray]:
+        """The code of each bigram type, ascending, and its count."""
+        first, second = self.bigram_ends()
+        return np.unique(first * len(self.names) + second, return_counts=True)
+
+    def partner_counts(self, word: str, slot: int) -> BigramCounts:
+        """What `association_scan` reads with `word` fixed in position `slot`
+        (0 first, 1 second): its pairs, its own marginal, its partners'
+        marginals and the total. No other word's counts are built."""
+        ends = self.bigram_ends()
+        try:
+            at = ends[slot] == self.names.index(word)
+        except ValueError:
+            at = np.zeros(len(ends[slot]), bool)
+        partners, n11 = np.unique(ends[1 - slot][at], return_counts=True)
+        margins = np.bincount(ends[1 - slot], minlength=len(self.names))[partners]
+        names = [self.names[i] for i in partners.tolist()]
+        pairs = [(name, word) if slot else (word, name) for name in names]
+        marginals = (Counter(dict(zip(names, margins.tolist()))), Counter({word: int(np.count_nonzero(at))}))
+        first, second = marginals if slot else marginals[::-1]
+        return BigramCounts(Counter(dict(zip(pairs, n11.tolist()))), first, second, len(at))
+
+
+def _token_ids(texts: Iterable[str], config: TokenizerConfig) -> _TokenIds:
+    """Tokenize each text, in turn, into word ids.
+
+    Each distinct raw run is normalised once per call, however many texts and
+    lines repeat it, and mapped straight to its word id (-1 where it
+    normalises to nothing). A bigram is two adjacent tokens of one unit: a
+    text or, with sentence_reset, a line.
+    """
+    word_ids: dict[str, int] = {}
+    run_ids: dict[str, int] = {}
+    ids, units = [np.zeros(0, np.int64)], [np.zeros(0, np.intp)]
+    unit_count = 0
+    for text in texts:
+        unit_raws = [line.split() for line in text.splitlines()] if config.sentence_reset else [text.split()]
+        raws = list(chain.from_iterable(unit_raws))
+        # The map's keys are fresh copies of the new runs, made side by side.
+        # Keys taken from `raws` would lie scattered over its memory and keep
+        # most of that from being reused once `raws` is freed.
+        for raw in " ".join(set(raws).difference(run_ids)).split():
+            token = _normalise(raw, config)
+            run_ids[raw] = word_ids.setdefault(token, len(word_ids)) if token else -1
+        text_ids = np.fromiter(map(run_ids.__getitem__, raws), np.int64, len(raws))
+        kept = text_ids >= 0
+        ids.append(text_ids[kept])
+        units.append(np.repeat(np.arange(unit_count, unit_count + len(unit_raws)),
+                               list(map(len, unit_raws)))[kept])
+        unit_count += len(unit_raws)
+    unit = np.concatenate(units)
+    return _TokenIds(list(word_ids), np.concatenate(ids), unit[1:] == unit[:-1])
+
+
+def _first_seen(values: np.ndarray, keys) -> Counter:
+    """A Counter over the values in first-seen order, keyed by `keys(distinct values)`."""
+    unique, first, counts = np.unique(values, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return Counter(dict(zip(keys(unique[order]), counts[order].tolist())))
 
 
 def _count_shards(texts: Iterable[str], config: TokenizerConfig) -> tuple[Counter, BigramCounts]:
     """Tokenize and count each text, in turn, into one word Counter and one
-    BigramCounts; returns (word counts, bigram counts).
-
-    No bigram spans two texts, or with sentence_reset two lines. Each
-    distinct raw run is normalised once per call, however many texts and
-    lines repeat it.
+    BigramCounts, each in first-seen order; returns (word counts, bigram
+    counts). No bigram spans two texts, or with sentence_reset two lines.
     """
-    words: Counter = Counter()
-    bigrams = BigramCounts()
-    normalised: dict[str, str] = {}
-    for text in texts:
-        for unit in text.splitlines() if config.sentence_reset else (text,):
-            tokens = _tokenize(unit, config, normalised)
-            words.update(tokens)
-            bigrams._add_tokens(tokens)
-    return words, bigrams
+    corpus = _token_ids(texts, config)
+    size = len(corpus.names)
+
+    def words(ids: np.ndarray):
+        return map(corpus.names.__getitem__, ids.tolist())
+
+    first, second = corpus.bigram_ends()
+    bigrams = BigramCounts(
+        _first_seen(first * size + second, lambda codes: zip(words(codes // size), words(codes % size))),
+        _first_seen(first, words), _first_seen(second, words), len(first))
+    return _first_seen(corpus.ids, words), bigrams
 
 
 def count_text(text: str, config: TokenizerConfig = TokenizerConfig()) -> tuple[Counter, BigramCounts]:
@@ -168,9 +232,9 @@ def read_text(path: str | Path) -> str:
         ) from exc
 
 
-def _freq_of_freq(counts: Counter) -> dict[int, int]:
-    histogram: Counter = Counter(counts.values())
-    return dict(sorted(histogram.items()))
+def _freq_of_freq(counts: np.ndarray) -> dict[int, int]:
+    freqs, types = np.unique(counts, return_counts=True)
+    return dict(zip(freqs.tolist(), types.tolist()))
 
 
 def _pct_at_most(fof: dict[int, int], limit: int, distinct: int) -> float:
@@ -179,14 +243,14 @@ def _pct_at_most(fof: dict[int, int], limit: int, distinct: int) -> float:
     return 100.0 * sum(v for f, v in fof.items() if f <= limit) / distinct
 
 
-def zipf_summary(bigrams: BigramCounts, word_counts: Counter) -> CorpusSummary:
-    """Frequency-of-frequency histograms and the hapax / five-or-fewer percentages."""
+def _summary(word_counts: np.ndarray, bigram_counts: np.ndarray) -> CorpusSummary:
+    """The summary of a corpus with these counts, one per word and one per bigram type."""
     word_fof = _freq_of_freq(word_counts)
-    bigram_fof = _freq_of_freq(bigrams.pair_counts)
+    bigram_fof = _freq_of_freq(bigram_counts)
     distinct_words = len(word_counts)
-    distinct_bigrams = len(bigrams.pair_counts)
+    distinct_bigrams = len(bigram_counts)
     return CorpusSummary(
-        token_count=sum(word_counts.values()),
+        token_count=int(word_counts.sum()),
         distinct_words=distinct_words,
         distinct_bigrams=distinct_bigrams,
         hapax_word_pct=_pct_at_most(word_fof, 1, distinct_words),
@@ -196,3 +260,9 @@ def zipf_summary(bigrams: BigramCounts, word_counts: Counter) -> CorpusSummary:
         word_freq_of_freq=word_fof,
         bigram_freq_of_freq=bigram_fof,
     )
+
+
+def zipf_summary(bigrams: BigramCounts, word_counts: Counter) -> CorpusSummary:
+    """Frequency-of-frequency histograms and the hapax / five-or-fewer percentages."""
+    return _summary(np.fromiter(word_counts.values(), np.int64, len(word_counts)),
+                    np.fromiter(bigrams.pair_counts.values(), np.int64, len(bigrams.pair_counts)))

@@ -153,11 +153,12 @@ def calibration(
     the exact test (whose p-values are 1 there) and are excluded from the
     asymptotic tallies, per each test's own error rules.
 
-    Each distinct draw is scored once (see `report._score_distinct`). Each
-    test's tally then comes from its column of p-values over the trials in
-    draw order: its valid trials are the non-NaN values, and its p-value sum
-    is the last of their `np.cumsum`, which adds left to right, so it is the
-    same float sum as scoring trial by trial.
+    Each distinct draw is scored once (see `report._score_distinct`); the
+    draws are told apart by `np.unique`, whose inverse maps each trial to its
+    distinct draw. Each test's tally then comes from its column of p-values
+    over the trials in draw order: its valid trials are the non-NaN values,
+    and its p-value sum is the last of their `np.cumsum`, which adds left to
+    right, so it is the same float sum as scoring trial by trial.
     """
     _check_size("sample size", n_total)
     _check_size("trials", trials, _MAX_TRIALS)
@@ -168,11 +169,14 @@ def calibration(
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    rows = map(tuple, rng.multinomial(n_total, model.probs, size=trials).tolist())
-    index: dict[tuple[int, ...], int] = {}
-    order = np.fromiter((index.setdefault(row, len(index)) for row in rows), np.intp, trials)
-    p_values = np.array([_p_values(*pair) for pair in
-                         _score_distinct(ContingencyTable2x2(*row) for row in index).values()])
+    # A draw is its first three cells, n22 being n_total less them: one
+    # 24-byte void value per trial, which np.unique sorts as bytes.
+    cells = np.ascontiguousarray(rng.multinomial(n_total, model.probs, size=trials)[:, :3])
+    distinct, order = np.unique(cells.view(np.dtype((np.void, 3 * cells.itemsize))).ravel(),
+                                return_inverse=True)
+    tables = (ContingencyTable2x2(n11, n12, n21, n_total - n11 - n12 - n21)
+              for n11, n12, n21 in distinct.view(np.int64).reshape(-1, 3).tolist())
+    p_values = np.array([_p_values(*pair) for pair in _score_distinct(tables).values()])
 
     tallies = {}
     for name, column in zip(TEST_NAMES, p_values.T):

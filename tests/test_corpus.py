@@ -1,6 +1,13 @@
+import contextlib
+import io
 import itertools
+import json
+import tempfile
 import unicodedata
 from collections import Counter
+from dataclasses import asdict
+from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +15,16 @@ from hypothesis import strategies as st
 
 from exactlex import (
     BigramCounts,
+    ExactLexError,
     IngestionError,
     TokenizerConfig,
+    association_scan,
     count_bigrams,
     count_text,
     tokenize,
     zipf_summary,
 )
-from exactlex import corpus
+from exactlex import cli, corpus
 from exactlex.corpus import _count_shards, read_text
 
 words = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=40)
@@ -265,3 +274,112 @@ def test_count_shards_normalises_each_distinct_run_once(sentence_reset, monkeypa
     shards = ["Tea tea. «Tea»\ntea — tea\n", "", "tea. Tea\n— strong tea\n", "Tea\nTea tea."]
     _count_shards(shards, TokenizerConfig(sentence_reset=sentence_reset))
     assert calls == Counter({raw: 1 for shard in shards for raw in shard.split()})
+
+
+# --- the CLI's id-coded commands against the Counter counts they replace -----
+
+CLI_ARGVS = [["count"], ["count", "--bigrams"], ["zipf"], ["zipf", "--format", "tsv"],
+             ["assoc", "--second", "tea"], ["assoc", "--first", "tea", "--format", "json"]]
+
+
+def _old_zipf(words, bigrams):
+    """The zipf summary from Counter histograms, as a dict in CorpusSummary order."""
+    def fof(counts):
+        return dict(sorted(Counter(counts.values()).items()))
+
+    def pct(histogram, limit, distinct):
+        return 100.0 * sum(v for f, v in histogram.items() if f <= limit) / distinct if distinct else 0.0
+
+    word_fof, bigram_fof = fof(words), fof(bigrams.pair_counts)
+    return {"token_count": sum(words.values()), "distinct_words": len(words),
+            "distinct_bigrams": len(bigrams.pair_counts),
+            "hapax_word_pct": pct(word_fof, 1, len(words)), "word_le5_pct": pct(word_fof, 5, len(words)),
+            "hapax_bigram_pct": pct(bigram_fof, 1, len(bigrams.pair_counts)),
+            "bigram_le5_pct": pct(bigram_fof, 5, len(bigrams.pair_counts)),
+            "word_freq_of_freq": word_fof, "bigram_freq_of_freq": bigram_fof}
+
+
+def _render_old_way(argv, shards, config):
+    """(exit status, stdout, stderr) of a corpus command rendered from
+    `_reference_count_shards`, the way the CLI rendered Counter counts."""
+    words, bigrams = _reference_count_shards(shards, config)
+    if argv[0] == "count":
+        if "--bigrams" in argv:
+            items = [(" ".join(pair), c) for pair, c in bigrams.pair_counts.items()]
+        else:
+            items = list(words.items())
+        items.sort()
+        items.sort(key=itemgetter(1), reverse=True)
+        return 0, "".join(f"{name}\t{count}\n" for name, count in items), ""
+    if argv[0] == "zipf":
+        summary = _old_zipf(words, bigrams)
+        if "tsv" not in argv:
+            return 0, json.dumps(summary, indent=2) + "\n", ""
+        rows = [f"{kind}\t{freq}\t{types}\n" for kind in ("word", "bigram")
+                for freq, types in summary[f"{kind}_freq_of_freq"].items()]
+        return 0, "kind\tfrequency\ttypes\n" + "".join(rows), ""
+    fixed = {argv[1].lstrip("-"): argv[2]}
+    try:
+        records = association_scan(bigrams, fixed_second=fixed.get("second"), fixed_first=fixed.get("first"))
+    except ExactLexError as exc:
+        return 1, "", f"exactlex: {exc}\n"
+    if "json" in argv:
+        return 0, json.dumps(records, indent=2, default=asdict) + "\n", ""
+    return 0, cli.records_to_tsv(records), ""
+
+
+def _run_cli(argv, shards, config):
+    flags = ["--lowercase", str(config.lowercase), "--strip-punct", str(config.strip_punctuation),
+             "--sentence-reset", str(config.sentence_reset)]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, text in enumerate(shards):
+            path = Path(tmp) / f"shard{i}.txt"
+            path.write_text(text, encoding="utf-8")
+            paths.append(str(path))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = cli.run_command(argv + flags + ["--input", *paths], out=out)
+    return status, out.getvalue(), err.getvalue()
+
+
+def _assert_cli_matches_old_way(shards, config):
+    for argv in CLI_ARGVS:
+        assert _run_cli(argv, shards, config) == _render_old_way(argv, shards, config), argv
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS)
+@given(shard_lists.filter(bool))  # the CLI takes at least one input
+@settings(max_examples=40, deadline=None)
+def test_cli_corpus_commands_match_counter_rendering(config, shards):
+    _assert_cli_matches_old_way(shards, config)
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS)
+@pytest.mark.parametrize("shards", [
+    [""],  # empty input
+    ["tea"],  # a single token
+    ["— ...", "¿! —\n", "..."],  # punctuation only
+    ["zebra tea. strong tea\n"],
+    # "a\x01" sorts before "a" followed by a space: the joined names' order,
+    # not the (first, second) order.
+    ["a\x01 c a b\na\x01 c a b tea\n"],
+])
+def test_cli_corpus_commands_match_counter_rendering_on_edge_cases(config, shards):
+    _assert_cli_matches_old_way(shards, config)
+
+
+def test_count_bigrams_sorts_ties_by_joined_name():
+    status, text, _ = _run_cli(["count", "--bigrams"], ["a\x01 c a b\na\x01 c a b\n"], TokenizerConfig())
+    assert status == 0
+    assert text.splitlines()[:2] == ["a\x01 c\t2", "a b\t2"]
+
+
+@pytest.mark.parametrize("fixed", ["--second", "--first"])
+def test_assoc_on_a_word_that_never_occurs_exits_1_with_one_line(fixed):
+    shards = ["strong tea. black tea\n", "tea"]
+    result = _run_cli(["assoc", fixed, "zebra"], shards, TokenizerConfig())
+    assert result == _render_old_way(["assoc", fixed, "zebra"], shards, TokenizerConfig())
+    status, out, err = result
+    assert status == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("exactlex: no observations")

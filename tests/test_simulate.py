@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -189,3 +190,18 @@ def test_calibration_enumerates_each_marginal_once(monkeypatch):
         assert Counter(batteries) == dict.fromkeys(distinct, run)
     reference = _reference_calibration(model, n_total, trials, alphas, seed)
     assert json.dumps(result.to_dict()) == json.dumps(reference.to_dict())
+
+
+def test_calibration_memory_per_trial_is_bounded():
+    # Distinct draws are found in numpy, not as one Python tuple per trial
+    # (about 160 bytes a trial at 10**5 trials); np.unique's sorted and
+    # inverse arrays over 24-byte keys peak near 100.
+    model, trials = MultinomialModel.independent(0.002, 0.0007), 100_000
+    calibration(model, 10_000, trials=100, seed=1)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        calibration(model, 10_000, trials=trials, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / trials < 120
