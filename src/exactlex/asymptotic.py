@@ -97,15 +97,16 @@ def _refusable(method):
 
 
 class Battery:
-    """Every asymptotic test on one table, each evaluated on first access.
+    """Every asymptotic test on one table.
 
     `pearson`, `g2`, `yates`, `mantel_haenszel`, `t_test` and `measures` are
     each a result, or None when the table refuses that test; `notes` then maps
     the test's name to the reason. The reasons are known from the table alone
     (a zero marginal, or n11 = 0), so `notes` is complete at construction.
-    The expected counts are computed once, and X^2 once for the tests and
-    measures that build on it. Callers that read only some tests pay only
-    for those.
+    The expected counts, X^2, G^2 and t, which every caller reads, are
+    computed at construction. Yates, Mantel-Haenszel and the measures, which
+    only `report.compute_all` reads, are each computed on first access, and
+    the last two build on the X^2 already taken.
     """
 
     def __init__(self, table: ContingencyTable2x2) -> None:
@@ -120,26 +121,36 @@ class Battery:
             self.notes["measures"] = "degenerate table: a marginal total is zero"
         if table.n11 == 0:
             self.notes["t_test"] = "t-statistic undefined: n11 = 0"
-
-    @functools.cached_property
-    def expected(self) -> ExpectedTable:
-        return expected_counts(self.table)
+        self.expected: ExpectedTable = expected_counts(table)
+        self.pearson = None if "pearson" in self.notes else self._pearson()
+        self.g2 = None if "g2" in self.notes else self._g2()
+        self.t_test = None if "t_test" in self.notes else self._t_test()
 
     def _observed_expected(self):
         return zip(self.table.cells, self.expected.cells)
 
-    @_refusable
-    def pearson(self) -> TestResult:
+    def _pearson(self) -> TestResult:
         """Pearson's X^2 = sum (observed - expected)^2 / expected."""
         stat = math.fsum((n - m) ** 2 / m for n, m in self._observed_expected())
         return TestResult(stat, 1, chi_square_sf(stat, 1))
 
-    @_refusable
-    def g2(self) -> TestResult:
+    def _g2(self) -> TestResult:
         """Likelihood-ratio G^2 = 2 sum n ln(n/m); zero cells contribute zero (the limit)."""
         stat = 2.0 * math.fsum(n * math.log(n / m) for n, m in self._observed_expected() if n > 0)
         stat = max(0.0, stat)
         return TestResult(stat, 1, chi_square_sf(stat, 1))
+
+    def _t_test(self) -> TestResult:
+        """One-sample t-statistic for bigram data, (n11 - m11)/sqrt(n11).
+
+        The sample variance is approximated by the bigram's relative frequency,
+        so the statistic is undefined when n11 = 0. Significance is the
+        one-sided upper tail of the standard normal (the statistic's
+        large-sample limit).
+        """
+        n11 = self.table.n11
+        stat = (n11 - self.expected.m11) / math.sqrt(n11)
+        return TestResult(stat, None, normal_sf(stat))
 
     @_refusable
     def yates(self) -> TestResult:
@@ -153,19 +164,6 @@ class Battery:
         n = self.table.total
         stat = (n - 1) / n * self.pearson.statistic
         return TestResult(stat, 1, chi_square_sf(stat, 1))
-
-    @_refusable
-    def t_test(self) -> TestResult:
-        """One-sample t-statistic for bigram data, (n11 - m11)/sqrt(n11).
-
-        The sample variance is approximated by the bigram's relative frequency,
-        so the statistic is undefined when n11 = 0. Significance is the
-        one-sided upper tail of the standard normal (the statistic's
-        large-sample limit).
-        """
-        n11 = self.table.n11
-        stat = (n11 - self.expected.m11) / math.sqrt(n11)
-        return TestResult(stat, None, normal_sf(stat))
 
     @_refusable
     def measures(self) -> AssociationMeasures:

@@ -21,12 +21,18 @@ the smallest term its sums lean on: the mode's, and the observed n11's on
 both sides of the mode. WINDOW_NATS caps the depth: past it every term is
 0.0 and the bound is exactly zero, and a sum that a shallower window cannot
 certify is taken again on that exhaustive window.
+
+A support of fewer than CORE_MIN_TERMS points is enumerated whole, with no
+window and no lgamma call. `_fisher_batch` scores many such marginals at once:
+one 2D numpy pass per width bucket builds every row's terms with the same
+float operations as `_enumerate`, so its p-values are the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +72,9 @@ STIRLING_MIN = 2**40
 # The most terms numpy can hold in one float64 array; a longer window is
 # refused like any other too large to allocate.
 _MAX_TERMS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+# The most cells of each array one pass of `_fisher_batch` holds, so that its
+# memory stays bounded however many marginals it scores.
+_BATCH_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -195,6 +204,19 @@ def _fsum_outward(terms: list[float], mi: int) -> float:
     return math.fsum(terms[mi:] + terms[:mi][::-1])
 
 
+def _whole_fisher(pmf: list[float], log_pmf: list[float], mi: int, idx: int) -> FisherResult:
+    """Fisher's test at index `idx` of a window that leaves nothing out, from
+    its terms as lists, with the mode at index `mi`. Each sum is fsum's of
+    the terms it covers, so it is correctly rounded.
+    """
+    cutoff = log_pmf[idx] + math.log1p(TWO_SIDED_TIE_REL_TOL)
+    return FisherResult(
+        left_p=min(1.0, _fsum_outward(pmf[: idx + 1], min(mi, idx))),
+        right_p=min(1.0, _fsum_outward(pmf[idx:], max(0, mi - idx))),
+        two_sided_p=min(1.0, math.fsum([p for p, q in zip(pmf, log_pmf) if q <= cutoff])),
+        point_p=pmf[idx])
+
+
 def _fsum_window(terms: np.ndarray, mi: int, beyond: float = 0.0) -> float | None:
     """The correctly rounded sum of the nonnegative `terms` and of further
     terms that total at most `beyond`, to the bit, without feeding fsum the
@@ -257,7 +279,9 @@ def _fisher_distribution(n_total: int, row1_total: int, col1_total: int,
     smallest of those, so (points beyond) x (edge term) stays under one core
     floor of every sum (see `_fsum_window`). The depth is capped at
     WINDOW_NATS, and a support whose both ends lie within WINDOW_NATS is
-    enumerated whole, as with no n11s.
+    enumerated whole, as with no n11s. So is a support of fewer than
+    CORE_MIN_TERMS points, before any lgamma call: no window would save its
+    cost.
 
     Each edge starts at the first n11 that deep, or at the end of the
     support, placed by `bisect_left` between the mode and that end on the
@@ -269,6 +293,8 @@ def _fisher_distribution(n_total: int, row1_total: int, col1_total: int,
     to the exhaustive window.
     """
     lo, hi = _support(n_total, row1_total, col1_total)
+    if hi - lo + 1 < CORE_MIN_TERMS:
+        return _enumerate(n_total, row1_total, col1_total, lo, hi)
     mode = _mode(n_total, row1_total, col1_total)
     n22_base = n_total - row1_total - col1_total
 
@@ -341,6 +367,8 @@ def fisher_from_dist(dist: HypergeomDist, n11: int) -> FisherResult:
     below, above = _bounds_beyond(dist.beyond_lo, dist.beyond_hi, pmf)
     if n11 < lo and below or n11 > hi and above:
         raise ValueError(f"n11 = {n11} lies beyond the enumerated window [{lo}, {hi}]")
+    if lo <= n11 <= hi and len(pmf) < CORE_MIN_TERMS and not (below or above):
+        return _whole_fisher(pmf.tolist(), dist.log_pmf.tolist(), mi, n11 - lo)
     if lo <= n11 <= hi:
         idx = n11 - lo
         point = float(pmf[idx])
@@ -371,3 +399,82 @@ def fisher_exact(table: ContingencyTable2x2) -> FisherResult:
     """
     dist = _fisher_distribution(table.total, table.row1, table.col1, (table.n11,))
     return fisher_from_dist(dist, table.n11)
+
+
+def _fisher_batch(n11s: dict[tuple[int, int, int], Iterable[int]],
+                  ) -> dict[tuple[int, int, int, int], FisherResult]:
+    """Fisher's test at each n11 in `n11s[key]` of each marginal key (N,
+    row1, col1), keyed (N, row1, col1, n11); each result equals
+    `fisher_exact`'s to the bit.
+
+    Each support is enumerated whole, as `_fisher_distribution` enumerates
+    one of fewer than CORE_MIN_TERMS points; those are the supports this is
+    for, since the cost grows with the support. The marginals are grouped by
+    the power of two above the longer side of their mode, so that no row is
+    padded to more than twice its width, and each group is scored in passes
+    of at most _BATCH_CELLS cells (see `_batch_pass`).
+    """
+    buckets: dict[int, list[tuple[tuple[int, int, int], int, int]]] = {}
+    for key in n11s:
+        lo, hi = _support(*key)
+        mi = _mode(*key) - lo
+        buckets.setdefault(max(mi, hi - lo - mi).bit_length(), []).append((key, lo, hi))
+    results: dict[tuple[int, int, int, int], FisherResult] = {}
+    for bits, rows in buckets.items():
+        per_pass = max(1, _BATCH_CELLS >> (bits + 1))
+        for start in range(0, len(rows), per_pass):
+            _batch_pass(rows[start : start + per_pass], n11s, results)
+    return results
+
+
+def _batch_pass(rows: list[tuple[tuple[int, int, int], int, int]],
+                n11s: dict[tuple[int, int, int], Iterable[int]],
+                results: dict[tuple[int, int, int, int], FisherResult]) -> None:
+    """Score the marginals `rows` of (key, support_lo, support_hi) into
+    `results`, in one 2D pass with the same float operations as `_enumerate`.
+
+    Row i of the step arrays holds the steps right of row i's mode, row
+    n + i those left of it, each in the order `_enumerate`'s cumsum adds
+    them; past the end of a support a factor is 1.0, so its log ratio is 0.0
+    and the running sum stays at the edge's value. The log-pmf array puts
+    every mode in one column, `width`. np.log and np.exp see only
+    C-contiguous float64 arrays, so they run the same loop on them as on
+    `_enumerate`'s 1D arrays, and give the same bits.
+    """
+    n = len(rows)
+    modes = [_mode(*key) - lo for key, lo, _ in rows]
+    width = max(max(mi, hi - lo - mi) for mi, (_, lo, hi) in zip(modes, rows))
+    # _enumerate's Python-int constants at lo, each rounded once to float64;
+    # the step offsets j from lo are exact.
+    consts = np.array([(row1 - lo, col1 - lo, lo + 1, n_total - row1 - col1 + lo + 1)
+                       for (n_total, row1, col1), lo, _ in rows] * 2, dtype=np.float64)
+    mi = np.array(modes * 2, dtype=np.float64)[:, None]
+    t = np.arange(width, dtype=np.float64)
+    j = np.concatenate((mi[:n] + t, mi[n:] - 1.0 - t))
+    steps = np.array([hi - lo for _, lo, hi in rows] * 2, dtype=np.float64)[:, None]
+    pad = (j < 0.0) | (j >= steps)
+
+    def log(factors: np.ndarray) -> np.ndarray:
+        factors[pad] = 1.0
+        return np.log(factors)
+
+    log_ratio = (log(consts[:, 0:1] - j) + log(consts[:, 1:2] - j)
+                 - log(consts[:, 2:3] + j) - log(consts[:, 3:4] + j))
+    run = np.cumsum(log_ratio, axis=1)
+    unnorm = np.empty((n, 2 * width + 1))
+    unnorm[:, width] = 0.0
+    unnorm[:, width + 1 :] = run[:n]
+    unnorm[:, :width] = -run[n:, ::-1]
+
+    peaks = unnorm.max(axis=1)
+    terms = np.exp(unnorm - peaks[:, None]).tolist()
+    starts = [width - m for m in modes]
+    log_norm = [peak + math.log(_fsum_outward(row[a : a + hi - lo + 1], m))
+                for peak, row, a, m, (_, lo, hi) in zip(peaks.tolist(), terms, starts, modes, rows)]
+    log_pmf = unnorm - np.array(log_norm)[:, None]
+    pmf = np.exp(log_pmf)
+    for (key, lo, hi), a, m, pmf_row, log_row in zip(rows, starts, modes, pmf.tolist(),
+                                                      log_pmf.tolist()):
+        pmf_row, log_row = pmf_row[a : a + hi - lo + 1], log_row[a : a + hi - lo + 1]
+        for n11 in n11s[key]:
+            results[(*key, n11)] = _whole_fisher(pmf_row, log_row, m, n11 - lo)

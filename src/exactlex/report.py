@@ -10,7 +10,8 @@ from collections.abc import Iterable
 
 from . import asymptotic
 from .asymptotic import AssociationMeasures
-from .exact import FisherResult, _fisher_distribution, fisher_exact, fisher_from_dist
+from .exact import (CORE_MIN_TERMS, FisherResult, _fisher_batch, _fisher_distribution, _support,
+                    fisher_exact, fisher_from_dist)
 from .tables import ContingencyTable2x2, small_expected_warning
 
 STAT_LABELS = {
@@ -49,19 +50,24 @@ def _score_distinct(
 
     Word-pair and sampled tables repeat heavily, so each distinct table is
     scored once, and tables with equal marginals (N, row1, col1) share one
-    enumeration of Fisher's window, as deep as their lowest and highest n11
-    need (the deepest n11 is one of the two). Each battery computes a test
-    on first access.
+    enumeration. A support of fewer than CORE_MIN_TERMS points is enumerated
+    whole, and all of those are scored together in `_fisher_batch`'s 2D
+    passes, most tables' case. A larger one gets one Fisher window, as deep
+    as its lowest and highest n11 need (the deepest n11 is one of the two).
     """
     distinct = {table.cells: table for table in tables}
-    spans: dict[tuple[int, int, int], tuple[int, int]] = {}
+    n11s: dict[tuple[int, int, int], list[int]] = {}
     for table in distinct.values():
-        key = (table.total, table.row1, table.col1)
-        low, high = spans.get(key, (table.n11, table.n11))
-        spans[key] = (min(low, table.n11), max(high, table.n11))
-    dists = {key: _fisher_distribution(*key, n11s=span) for key, span in spans.items()}
-    return {cells: (fisher_from_dist(dists[table.total, table.row1, table.col1], table.n11),
-                    asymptotic.Battery(table))
+        n11s.setdefault((table.total, table.row1, table.col1), []).append(table.n11)
+    small, large = {}, {}
+    for key, ks in n11s.items():
+        lo, hi = _support(*key)
+        (small if hi - lo + 1 < CORE_MIN_TERMS else large)[key] = ks
+    fisher = _fisher_batch(small)
+    for key, ks in large.items():
+        dist = _fisher_distribution(*key, n11s=(min(ks), max(ks)))
+        fisher.update(((*key, n11), fisher_from_dist(dist, n11)) for n11 in ks)
+    return {cells: (fisher[table.total, table.row1, table.col1, table.n11], asymptotic.Battery(table))
             for cells, table in distinct.items()}
 
 

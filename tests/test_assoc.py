@@ -16,7 +16,7 @@ from exactlex import (
 from exactlex import asymptotic, report
 from exactlex.assoc import RANK_KEYS, AssociationRecord
 from exactlex.corpus import BigramCounts
-from exactlex.exact import _fisher_distribution
+from exactlex.exact import _fisher_batch, _fisher_distribution
 
 
 def oil_industry_counts() -> BigramCounts:
@@ -209,6 +209,8 @@ def test_scan_scores_each_table_and_marginal_once(slot, fixed, min_count, monkey
     enumerated, batteries = [], []
     monkeypatch.setattr(report, "_fisher_distribution",
                         lambda *key, n11s: enumerated.append(key) or _fisher_distribution(*key, n11s))
+    monkeypatch.setattr(report, "_fisher_batch",
+                        lambda n11s: enumerated.extend(n11s) or _fisher_batch(n11s))
     monkeypatch.setattr(asymptotic, "Battery",
                         lambda table, Battery=asymptotic.Battery: batteries.append(table.cells)
                         or Battery(table))

@@ -271,6 +271,10 @@ class TestBattery:
                 assert result == view(table)
 
     def test_reading_one_test_evaluates_no_other(self):
+        # X^2, G^2 and t, which every caller reads, are taken at construction;
+        # the tests only the report reads stay lazy.
         tests = asymptotic.Battery(make_table(3, 1, 1, 3))
-        tests.g2
-        assert {"pearson", "yates", "mantel_haenszel", "t_test", "measures"}.isdisjoint(vars(tests))
+        assert {"expected", "pearson", "g2", "t_test"} <= set(vars(tests))
+        assert {"yates", "mantel_haenszel", "measures"}.isdisjoint(vars(tests))
+        tests.yates
+        assert {"mantel_haenszel", "measures"}.isdisjoint(vars(tests))

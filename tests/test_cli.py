@@ -304,6 +304,9 @@ def _test_argvs(fmt: str) -> list[list[str]]:
     ([["simulate", "--p11", "0.1", "--p12", "0.2", "--p21", "0.3", "--p22", "0.4", "--n", "40",
        "--trials", "1000", "--seed", "11", "--alpha", "0.001", "--alpha", "0.2"]],
      "39d5ebed752f94714776a7a67323f44b5d58ca78a33847073b3f97b4a0ca0c75"),
+    ([["simulate", "--p-row", "0.002", "--p-col", "0.0007", "--n", "10000", "--trials", "10000",
+       "--seed", "1"]],  # the benchmark's model: 486 distinct tables, all scored in one batch
+     "c5ab032cf329e5984a35fd83615f653e810fc3e0f82966cffa5e1770b450c6f3"),
 ])
 def test_table_output_is_golden(argvs, digest):
     # Digests of the output before the asymptotic tests were gathered into

@@ -19,6 +19,7 @@ from exactlex.exact import (
     CORE_REL,
     TWO_SIDED_TIE_REL_TOL,
     WINDOW_NATS,
+    _fisher_batch,
     _fisher_distribution,
     _fsum_window,
     _mode,
@@ -442,3 +443,75 @@ def test_window_placed_accurately_past_10_19():
         assert win.log_pmf[-1] <= -WINDOW_NATS
         widths[n22] = len(win.log_pmf)
     assert widths[10**20] <= 2 * widths[10**17]
+
+
+def test_small_support_is_enumerated_whole_without_lgamma(monkeypatch):
+    # 121 points whose far end lies below WINDOW_NATS: a window would stop
+    # 114 points short of it, and placing that window takes 44 lgamma calls.
+    full = hypergeom_distribution(10**9, 120, 120)
+    assert full.log_pmf[-1] < -WINDOW_NATS
+    monkeypatch.setattr(math, "lgamma", None)
+    win = _fisher_distribution(10**9, 120, 120, (0,))
+    assert (win.support_lo, win.support_hi, win.beyond_lo, win.beyond_hi) == (0, 120, 0, 0)
+    assert np.array_equal(win.log_pmf, full.log_pmf)
+
+
+@st.composite
+def _small_marginals(draw):
+    """A marginal (N, row1, col1) whose support has 1 to CORE_MIN_TERMS - 1
+    points, with N from 1 to 10**9 or past 2**63."""
+    n = draw(st.integers(1, 300) | st.integers(1, 10**9) | st.integers(2**63, 2**70))
+    steps = draw(st.integers(0, min(CORE_MIN_TERMS - 2, n // 2)))
+    c1 = draw(st.integers(steps, n - steps))
+    r1 = draw(st.sampled_from([steps, n - steps]))
+    return (n, r1, c1) if draw(st.booleans()) else (n, c1, r1)
+
+
+@given(st.lists(_small_marginals(), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_batch_equals_fisher_exact_and_full_enumeration(marginals):
+    # Marginals of many widths in one call, scored at every n11.
+    n11s = {}
+    for n, r1, c1 in marginals:
+        lo, hi = max(0, r1 + c1 - n), min(r1, c1)
+        assert hi - lo + 1 < CORE_MIN_TERMS
+        n11s[n, r1, c1] = range(lo, hi + 1)
+    results = _fisher_batch(n11s)
+    assert len(results) == sum(map(len, n11s.values()))
+    for (n, r1, c1), ks in n11s.items():
+        full = hypergeom_distribution(n, r1, c1)
+        for n11 in ks:
+            t = make_table(n11, r1 - n11, c1 - n11, n - r1 - c1 + n11)
+            assert results[n, r1, c1, n11] == fisher_exact(t) == fisher_from_dist(full, n11)
+
+
+def test_batch_split_into_passes_gives_the_same_results(monkeypatch):
+    # One-point supports, both edges of the width buckets and huge N, with
+    # room for only a few rows per pass.
+    n11s = {}
+    for n in (1, 2, 255, 10**6, 10**9, 2**63 + 1):
+        for steps in (0, 1, 2, 63, 64, 126):
+            if 2 * steps <= n:
+                for r1 in (steps, n - steps):
+                    lo = max(0, r1 + n // 2 - n)
+                    n11s[n, r1, n // 2] = range(lo, min(r1, n // 2) + 1)
+    whole = _fisher_batch(n11s)
+    monkeypatch.setattr(exact, "_BATCH_CELLS", 300)
+    assert _fisher_batch(n11s) == whole
+    assert all(whole[key + (n11,)] == fisher_exact(make_table(n11, key[1] - n11, key[2] - n11,
+                                                              key[0] - key[1] - key[2] + n11))
+               for key, ks in n11s.items() for n11 in ks)
+
+
+@given(st.integers(1, 40), st.integers(0, 300), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_2d_log_and_exp_equal_per_row_calls(rows, width, seed):
+    # The batch relies on numpy giving each element of a C-contiguous 2D
+    # array the same log and exp as the same element of a 1D array.
+    rng = np.random.default_rng(seed)
+    positive = 10.0 ** rng.uniform(-5, 20, (rows, width))
+    exponents = -(10.0 ** rng.uniform(-10, 3.2, (rows, width)))
+    for values, f in ((positive, np.log), (exponents, np.exp)):
+        batch = f(values)
+        for row, out in zip(values, batch):
+            assert np.array_equal(f(row.copy()), out)

@@ -181,6 +181,9 @@ def test_calibration_enumerates_each_marginal_once(monkeypatch):
     monkeypatch.setattr(report, "_fisher_distribution",
                         lambda *key, n11s, original=report._fisher_distribution:
                         enumerated.append(key) or original(*key, n11s))
+    monkeypatch.setattr(report, "_fisher_batch",
+                        lambda n11s, original=report._fisher_batch:
+                        enumerated.extend(n11s) or original(n11s))
     monkeypatch.setattr(asymptotic, "Battery",
                         lambda table, Battery=asymptotic.Battery: batteries.append(table.cells)
                         or Battery(table))
