@@ -414,11 +414,11 @@ def _fisher_batch(n11s: dict[tuple[int, int, int], Iterable[int]],
     padded to more than twice its width, and each group is scored in passes
     of at most _BATCH_CELLS cells (see `_batch_pass`).
     """
-    buckets: dict[int, list[tuple[tuple[int, int, int], int, int]]] = {}
+    buckets: dict[int, list[tuple[tuple[int, int, int], int, int, int]]] = {}
     for key in n11s:
         lo, hi = _support(*key)
         mi = _mode(*key) - lo
-        buckets.setdefault(max(mi, hi - lo - mi).bit_length(), []).append((key, lo, hi))
+        buckets.setdefault(max(mi, hi - lo - mi).bit_length(), []).append((key, lo, hi, mi))
     results: dict[tuple[int, int, int, int], FisherResult] = {}
     for bits, rows in buckets.items():
         per_pass = max(1, _BATCH_CELLS >> (bits + 1))
@@ -427,11 +427,12 @@ def _fisher_batch(n11s: dict[tuple[int, int, int], Iterable[int]],
     return results
 
 
-def _batch_pass(rows: list[tuple[tuple[int, int, int], int, int]],
+def _batch_pass(rows: list[tuple[tuple[int, int, int], int, int, int]],
                 n11s: dict[tuple[int, int, int], Iterable[int]],
                 results: dict[tuple[int, int, int, int], FisherResult]) -> None:
-    """Score the marginals `rows` of (key, support_lo, support_hi) into
-    `results`, in one 2D pass with the same float operations as `_enumerate`.
+    """Score the marginals `rows` of (key, support_lo, support_hi, mode
+    index) into `results`, in one 2D pass with the same float operations
+    as `_enumerate`.
 
     Row i of the step arrays holds the steps right of row i's mode, row
     n + i those left of it, each in the order `_enumerate`'s cumsum adds
@@ -442,16 +443,15 @@ def _batch_pass(rows: list[tuple[tuple[int, int, int], int, int]],
     `_enumerate`'s 1D arrays, and give the same bits.
     """
     n = len(rows)
-    modes = [_mode(*key) - lo for key, lo, _ in rows]
-    width = max(max(mi, hi - lo - mi) for mi, (_, lo, hi) in zip(modes, rows))
+    width = max(max(m, hi - lo - m) for _, lo, hi, m in rows)
     # _enumerate's Python-int constants at lo, each rounded once to float64;
     # the step offsets j from lo are exact.
     consts = np.array([(row1 - lo, col1 - lo, lo + 1, n_total - row1 - col1 + lo + 1)
-                       for (n_total, row1, col1), lo, _ in rows] * 2, dtype=np.float64)
-    mi = np.array(modes * 2, dtype=np.float64)[:, None]
+                       for (n_total, row1, col1), lo, *_ in rows] * 2, dtype=np.float64)
+    mi = np.array([m for *_, m in rows] * 2, dtype=np.float64)[:, None]
     t = np.arange(width, dtype=np.float64)
     j = np.concatenate((mi[:n] + t, mi[n:] - 1.0 - t))
-    steps = np.array([hi - lo for _, lo, hi in rows] * 2, dtype=np.float64)[:, None]
+    steps = np.array([hi - lo for _, lo, hi, _ in rows] * 2, dtype=np.float64)[:, None]
     pad = (j < 0.0) | (j >= steps)
 
     def log(factors: np.ndarray) -> np.ndarray:
@@ -468,13 +468,12 @@ def _batch_pass(rows: list[tuple[tuple[int, int, int], int, int]],
 
     peaks = unnorm.max(axis=1)
     terms = np.exp(unnorm - peaks[:, None]).tolist()
-    starts = [width - m for m in modes]
-    log_norm = [peak + math.log(_fsum_outward(row[a : a + hi - lo + 1], m))
-                for peak, row, a, m, (_, lo, hi) in zip(peaks.tolist(), terms, starts, modes, rows)]
+    log_norm = [peak + math.log(_fsum_outward(row[width - m : width - m + hi - lo + 1], m))
+                for peak, row, (_, lo, hi, m) in zip(peaks.tolist(), terms, rows)]
     log_pmf = unnorm - np.array(log_norm)[:, None]
     pmf = np.exp(log_pmf)
-    for (key, lo, hi), a, m, pmf_row, log_row in zip(rows, starts, modes, pmf.tolist(),
-                                                      log_pmf.tolist()):
+    for (key, lo, hi, m), pmf_row, log_row in zip(rows, pmf.tolist(), log_pmf.tolist()):
+        a = width - m
         pmf_row, log_row = pmf_row[a : a + hi - lo + 1], log_row[a : a + hi - lo + 1]
         for n11 in n11s[key]:
             results[(*key, n11)] = _whole_fisher(pmf_row, log_row, m, n11 - lo)

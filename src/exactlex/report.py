@@ -67,7 +67,8 @@ def _score_distinct(
     for key, ks in large.items():
         dist = _fisher_distribution(*key, n11s=(min(ks), max(ks)))
         fisher.update(((*key, n11), fisher_from_dist(dist, n11)) for n11 in ks)
-    return {cells: (fisher[table.total, table.row1, table.col1, table.n11], asymptotic.Battery(table))
+    return {cells: (fisher[table.total, table.row1, table.col1, table.n11],
+                    asymptotic.Battery(table))
             for cells, table in distinct.items()}
 
 
