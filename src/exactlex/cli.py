@@ -104,17 +104,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _tokenizer_config(args) -> TokenizerConfig:
-    return TokenizerConfig(
-        lowercase=args.lowercase,
-        strip_punctuation=args.strip_punct,
-        sentence_reset=args.sentence_reset,
-    )
-
-
 def _read_corpus(args) -> _TokenIds:
     # Inputs are read one at a time, each tokenized straight into word ids.
-    return _token_ids(map(read_text, args.input), _tokenizer_config(args))
+    config = TokenizerConfig(lowercase=args.lowercase, strip_punctuation=args.strip_punct,
+                             sentence_reset=args.sentence_reset)
+    return _token_ids(map(read_text, args.input), config)
 
 
 def _record_row(record: AssociationRecord) -> list[str]:

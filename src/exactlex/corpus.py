@@ -7,7 +7,7 @@ import unicodedata
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -184,38 +184,19 @@ def _token_ids(texts: Iterable[str], config: TokenizerConfig) -> _TokenIds:
     return _TokenIds(list(word_ids), np.concatenate(ids), unit[1:] == unit[:-1])
 
 
-def _first_seen(values: np.ndarray, keys) -> Counter:
-    """A Counter over the values in first-seen order, keyed by `keys(distinct values)`."""
-    unique, first, counts = np.unique(values, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return Counter(dict(zip(keys(unique[order]), counts[order].tolist())))
-
-
-def _count_shards(texts: Iterable[str], config: TokenizerConfig) -> tuple[Counter, BigramCounts]:
-    """Tokenize and count each text, in turn, into one word Counter and one
-    BigramCounts, each in first-seen order; returns (word counts, bigram
-    counts). No bigram spans two texts, or with sentence_reset two lines.
-    """
-    corpus = _token_ids(texts, config)
-    size = len(corpus.names)
-
-    def words(ids: np.ndarray):
-        return map(corpus.names.__getitem__, ids.tolist())
-
-    first, second = corpus.bigram_ends()
-    bigrams = BigramCounts(
-        _first_seen(first * size + second, lambda codes: zip(words(codes // size), words(codes % size))),
-        _first_seen(first, words), _first_seen(second, words), len(first))
-    return _first_seen(corpus.ids, words), bigrams
-
-
 def count_text(text: str, config: TokenizerConfig = TokenizerConfig()) -> tuple[Counter, BigramCounts]:
     """Tokenize and count a whole text; returns (word counts, bigram counts).
 
     With sentence_reset, no bigram spans a newline. Each distinct raw run is
     normalised once per call, not once per line.
     """
-    return _count_shards((text,), config)
+    corpus = _token_ids((text,), config)
+    tokens = list(map(corpus.names.__getitem__, corpus.ids.tolist()))
+    paired = corpus.paired.tolist()
+    # Counter counts an iterable in C, each key in first-seen order.
+    first, second = list(compress(tokens, paired)), list(compress(tokens[1:], paired))
+    return Counter(tokens), BigramCounts(Counter(zip(first, second)), Counter(first), Counter(second),
+                                         len(first))
 
 
 def read_text(path: str | Path) -> str:

@@ -23,16 +23,18 @@ both sides of the mode. WINDOW_NATS caps the depth: past it every term is
 certify is taken again on that exhaustive window.
 
 A support of fewer than CORE_MIN_TERMS points is enumerated whole, with no
-window and no lgamma call. `_fisher_batch` scores many such marginals at once:
-one 2D numpy pass per width bucket builds every row's terms with the same
-float operations as `_enumerate`, so its p-values are the same bits.
+window and no lgamma call. `_fisher_batch` scores many marginals at once and
+is the one place that chooses how each is enumerated: the small supports in
+one 2D numpy pass per width bucket, which builds every row's terms with the
+same float operations as `_enumerate`, so its p-values are the same bits; a
+larger one in one window as deep as its deepest n11.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,8 +235,6 @@ def _fsum_window(terms: np.ndarray, mi: int, beyond: float = 0.0) -> float | Non
     terms beyond, the sum is not certain, and the caller deepens its window.
     """
     size = len(terms)
-    if size < CORE_MIN_TERMS and not beyond:
-        return _fsum_outward(terms.tolist(), mi)
     a, b, floor = 0, size, 0.0
     if size >= CORE_MIN_TERMS:
         floor = CORE_REL * float(terms.max())
@@ -401,25 +401,31 @@ def fisher_exact(table: ContingencyTable2x2) -> FisherResult:
     return fisher_from_dist(dist, table.n11)
 
 
-def _fisher_batch(n11s: dict[tuple[int, int, int], Iterable[int]],
+def _fisher_batch(n11s: dict[tuple[int, int, int], Sequence[int]],
                   ) -> dict[tuple[int, int, int, int], FisherResult]:
     """Fisher's test at each n11 in `n11s[key]` of each marginal key (N,
     row1, col1), keyed (N, row1, col1, n11); each result equals
     `fisher_exact`'s to the bit.
 
-    Each support is enumerated whole, as `_fisher_distribution` enumerates
-    one of fewer than CORE_MIN_TERMS points; those are the supports this is
-    for, since the cost grows with the support. The marginals are grouped by
-    the power of two above the longer side of their mode, so that no row is
-    padded to more than twice its width, and each group is scored in passes
-    of at most _BATCH_CELLS cells (see `_batch_pass`).
+    This is where a marginal's enumeration is chosen. A support of fewer than
+    CORE_MIN_TERMS points is enumerated whole, as `_fisher_distribution`
+    enumerates one, and all of those are scored together: grouped by the
+    power of two above the longer side of their mode, so that no row is
+    padded to more than twice its width, and each group in passes of at most
+    _BATCH_CELLS cells (see `_batch_pass`). A larger support gets one Fisher
+    window, as deep as its lowest and highest n11 need (the deepest n11 is
+    one of the two).
     """
     buckets: dict[int, list[tuple[tuple[int, int, int], int, int, int]]] = {}
-    for key in n11s:
-        lo, hi = _support(*key)
-        mi = _mode(*key) - lo
-        buckets.setdefault(max(mi, hi - lo - mi).bit_length(), []).append((key, lo, hi, mi))
     results: dict[tuple[int, int, int, int], FisherResult] = {}
+    for key, ks in n11s.items():
+        lo, hi = _support(*key)
+        if hi - lo + 1 < CORE_MIN_TERMS:
+            mi = _mode(*key) - lo
+            buckets.setdefault(max(mi, hi - lo - mi).bit_length(), []).append((key, lo, hi, mi))
+        else:
+            dist = _fisher_distribution(*key, n11s=(min(ks), max(ks)))
+            results.update(((*key, n11), fisher_from_dist(dist, n11)) for n11 in ks)
     for bits, rows in buckets.items():
         per_pass = max(1, _BATCH_CELLS >> (bits + 1))
         for start in range(0, len(rows), per_pass):
@@ -428,7 +434,7 @@ def _fisher_batch(n11s: dict[tuple[int, int, int], Iterable[int]],
 
 
 def _batch_pass(rows: list[tuple[tuple[int, int, int], int, int, int]],
-                n11s: dict[tuple[int, int, int], Iterable[int]],
+                n11s: dict[tuple[int, int, int], Sequence[int]],
                 results: dict[tuple[int, int, int, int], FisherResult]) -> None:
     """Score the marginals `rows` of (key, support_lo, support_hi, mode
     index) into `results`, in one 2D pass with the same float operations

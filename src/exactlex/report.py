@@ -10,8 +10,7 @@ from collections.abc import Iterable
 
 from . import asymptotic
 from .asymptotic import AssociationMeasures
-from .exact import (CORE_MIN_TERMS, FisherResult, _fisher_batch, _fisher_distribution, _support,
-                    fisher_exact, fisher_from_dist)
+from .exact import FisherResult, _fisher_batch, fisher_exact
 from .tables import ContingencyTable2x2, small_expected_warning
 
 STAT_LABELS = {
@@ -50,23 +49,14 @@ def _score_distinct(
 
     Word-pair and sampled tables repeat heavily, so each distinct table is
     scored once, and tables with equal marginals (N, row1, col1) share one
-    enumeration. A support of fewer than CORE_MIN_TERMS points is enumerated
-    whole, and all of those are scored together in `_fisher_batch`'s 2D
-    passes, most tables' case. A larger one gets one Fisher window, as deep
-    as its lowest and highest n11 need (the deepest n11 is one of the two).
+    enumeration: all of them go to `exact._fisher_batch` in one call, which
+    chooses how each marginal is enumerated.
     """
     distinct = {table.cells: table for table in tables}
     n11s: dict[tuple[int, int, int], list[int]] = {}
     for table in distinct.values():
         n11s.setdefault((table.total, table.row1, table.col1), []).append(table.n11)
-    small, large = {}, {}
-    for key, ks in n11s.items():
-        lo, hi = _support(*key)
-        (small if hi - lo + 1 < CORE_MIN_TERMS else large)[key] = ks
-    fisher = _fisher_batch(small)
-    for key, ks in large.items():
-        dist = _fisher_distribution(*key, n11s=(min(ks), max(ks)))
-        fisher.update(((*key, n11), fisher_from_dist(dist, n11)) for n11 in ks)
+    fisher = _fisher_batch(n11s)
     return {cells: (fisher[table.total, table.row1, table.col1, table.n11],
                     asymptotic.Battery(table))
             for cells, table in distinct.items()}

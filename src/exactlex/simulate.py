@@ -109,7 +109,8 @@ class CalibrationReport:
             "tests": {
                 name: {
                     "valid_trials": tally.valid_trials,
-                    "mean_p": tally.mean_p(),
+                    # JSON has no NaN: a test with no valid trial has no mean.
+                    "mean_p": tally.mean_p() if tally.valid_trials else None,
                     "rejection_rates": {str(a): tally.rejection_rate(a) for a in self.alphas},
                 }
                 for name, tally in self.tallies.items()

@@ -13,10 +13,10 @@ from exactlex import (
     fisher_exact,
     rank_records,
 )
-from exactlex import asymptotic, report
+from exactlex import asymptotic, exact
 from exactlex.assoc import RANK_KEYS, AssociationRecord
 from exactlex.corpus import BigramCounts
-from exactlex.exact import _fisher_batch, _fisher_distribution
+from exactlex.exact import _batch_pass, _fisher_distribution
 
 
 def oil_industry_counts() -> BigramCounts:
@@ -207,10 +207,12 @@ def test_scan_scores_each_table_and_marginal_once(slot, fixed, min_count, monkey
     assert len(marginals) < len(distinct) < len(tables)
 
     enumerated, batteries = [], []
-    monkeypatch.setattr(report, "_fisher_distribution",
-                        lambda *key, n11s: enumerated.append(key) or _fisher_distribution(*key, n11s))
-    monkeypatch.setattr(report, "_fisher_batch",
-                        lambda n11s: enumerated.extend(n11s) or _fisher_batch(n11s))
+    monkeypatch.setattr(exact, "_fisher_distribution",
+                        lambda n, r1, c1, n11s=None: enumerated.append((n, r1, c1))
+                        or _fisher_distribution(n, r1, c1, n11s))
+    monkeypatch.setattr(exact, "_batch_pass",
+                        lambda rows, n11s, results: enumerated.extend(key for key, *_ in rows)
+                        or _batch_pass(rows, n11s, results))
     monkeypatch.setattr(asymptotic, "Battery",
                         lambda table, Battery=asymptotic.Battery: batteries.append(table.cells)
                         or Battery(table))
@@ -242,8 +244,9 @@ def test_scan_enumerates_each_marginal_once_as_deep_as_its_deepest_n11(monkeypat
     assert len({len(_fisher_distribution(*key, (n11,)).log_pmf) for n11 in n11s}) == len(n11s)
 
     enumerated = []
-    monkeypatch.setattr(report, "_fisher_distribution",
-                        lambda *key, n11s: enumerated.append((key, n11s)) or _fisher_distribution(*key, n11s))
+    monkeypatch.setattr(exact, "_fisher_distribution",
+                        lambda n, r1, c1, n11s=None: enumerated.append(((n, r1, c1), n11s))
+                        or _fisher_distribution(n, r1, c1, n11s))
     records = association_scan(counts, fixed_first="oil")
     assert Counter(k for k, _ in enumerated) == dict.fromkeys(marginals, 1)
     assert dict(enumerated)[key] == (min(n11s), max(n11s))

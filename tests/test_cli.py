@@ -27,6 +27,14 @@ def run(argv) -> tuple[int, str]:
     return status, out.getvalue()
 
 
+def strict_json(text: str):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_report_contains_reference_values():
     status, text = run(["test", "--n11", "3", "--n12", "1", "--n21", "1",
                         "--n22", "3", "--format", "report"])
@@ -143,6 +151,18 @@ def test_simulate_json_output():
     assert payload["trials"] == 200
     assert payload["alphas"] == [0.05]
     assert "fisher_left" in payload["tests"]
+
+
+def test_simulate_without_valid_trials_writes_strict_json():
+    # The paper's sparse regime: every table has a zero marginal, so no
+    # trial gives an X², G² or t p-value, and those have no mean.
+    status, text = run(["simulate", "--p-row", "0.001", "--p-col", "0.001", "--n", "10",
+                        "--trials", "100"])
+    assert status == 0
+    tests = strict_json(text)["tests"]
+    for name in ("x2", "g2", "t"):
+        assert tests[name]["valid_trials"] == 0 and tests[name]["mean_p"] is None
+    assert tests["fisher_two"]["mean_p"] == 1.0
 
 
 def test_simulate_requires_model(capsys):
@@ -299,8 +319,8 @@ def _test_argvs(fmt: str) -> list[list[str]]:
     (_test_argvs("json"), "4a6b28a99ae08fc67644822b91bdb699876c64fd8ec6a4368047b094825e3895"),
     ([["tea"]], "2dcc4f752d05b47b758d864c031890ff0dfca5cb2a38fcca1179666fce465633"),
     ([["simulate", "--p-row", "0.001", "--p-col", "0.001", "--n", "100", "--trials", "2000",
-       "--seed", "8"]],  # mostly degenerate
-     "9219d538d1e5dabacb5eb77a10e16428588e492dfc637ef8c48f9bf0304cbac1"),
+       "--seed", "8"]],  # mostly degenerate; no valid t trial, so its mean_p is null
+     "89be38ecc8af2114563240c56e325ed77544c0d45345ef346bb55c46bade279a"),
     ([["simulate", "--p11", "0.1", "--p12", "0.2", "--p21", "0.3", "--p22", "0.4", "--n", "40",
        "--trials", "1000", "--seed", "11", "--alpha", "0.001", "--alpha", "0.2"]],
      "39d5ebed752f94714776a7a67323f44b5d58ca78a33847073b3f97b4a0ca0c75"),
@@ -310,7 +330,8 @@ def _test_argvs(fmt: str) -> list[list[str]]:
 ])
 def test_table_output_is_golden(argvs, digest):
     # Digests of the output before the asymptotic tests were gathered into
-    # one battery per table; the bytes must not change.
+    # one battery per table; the bytes must not change. The one exception is
+    # the mostly degenerate simulate case, whose bare NaN is now JSON's null.
     sha = hashlib.sha256()
     for argv in argvs:
         status, text = run(argv)
@@ -363,14 +384,14 @@ def _fuzz_argv(draw, subcommand):
 def test_fuzzed_argv_and_stdin_exit_0_1_or_2_with_one_line(subcommand, data):
     argv = data.draw(_fuzz_argv(subcommand), label="argv")
     stdin = data.draw(_FUZZ_STDIN, label="stdin")
-    err = io.StringIO()
+    err, out = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         stack.enter_context(contextlib.redirect_stderr(err))
         stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
         old_stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(stdin))
         stack.callback(setattr, sys, "stdin", old_stdin)
         try:
-            status = run_command(argv, out=io.StringIO())
+            status = run_command(argv, out=out)
         except SystemExit as exc:  # argparse: 2 on a usage error
             status = exc.code
     message = err.getvalue()
@@ -378,3 +399,7 @@ def test_fuzzed_argv_and_stdin_exit_0_1_or_2_with_one_line(subcommand, data):
     assert "Traceback" not in message
     if status == 1:
         assert len(message.splitlines()) <= 1 and message.startswith("exactlex: ")
+    if status == 0:
+        args = build_parser().parse_args(argv)
+        if args.subcommand == "simulate" or getattr(args, "format", None) == "json":
+            strict_json(out.getvalue())

@@ -25,7 +25,7 @@ from exactlex import (
     zipf_summary,
 )
 from exactlex import cli, corpus
-from exactlex.corpus import _count_shards, read_text
+from exactlex.corpus import _token_ids, read_text
 
 words = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=40)
 
@@ -251,11 +251,21 @@ def _reference_count_shards(shards, config):
     return words, bigrams
 
 
+def _counts_from_ids(corpus):
+    """Word and bigram counts read off the id arrays token by token."""
+    tokens = [corpus.names[i] for i in corpus.ids.tolist()]
+    bigrams = BigramCounts()
+    for w1, w2, paired in zip(tokens, tokens[1:], corpus.paired.tolist()):
+        if paired:
+            bigrams.add_pair(w1, w2)
+    return Counter(tokens), bigrams
+
+
 @pytest.mark.parametrize("config", ALL_CONFIGS)
 @given(shard_lists)
 @settings(max_examples=60)
 def test_count_shards_equals_per_shard_counts_merged(config, shards):
-    words, bigrams = _count_shards(iter(shards), config)
+    words, bigrams = _counts_from_ids(_token_ids(iter(shards), config))
     ref_words, ref_bigrams = _reference_count_shards(shards, config)
     assert list(words.items()) == list(ref_words.items())
     assert _items(bigrams) == _items(ref_bigrams)
@@ -272,7 +282,7 @@ def test_count_shards_normalises_each_distinct_run_once(sentence_reset, monkeypa
 
     monkeypatch.setattr(corpus, "_normalise", counting)
     shards = ["Tea tea. «Tea»\ntea — tea\n", "", "tea. Tea\n— strong tea\n", "Tea\nTea tea."]
-    _count_shards(shards, TokenizerConfig(sentence_reset=sentence_reset))
+    _token_ids(shards, TokenizerConfig(sentence_reset=sentence_reset))
     assert calls == Counter({raw: 1 for shard in shards for raw in shard.split()})
 
 

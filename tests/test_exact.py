@@ -503,6 +503,37 @@ def test_batch_split_into_passes_gives_the_same_results(monkeypatch):
                for key, ks in n11s.items() for n11 in ks)
 
 
+@st.composite
+def _marginal_n11s(draw, fewest_steps, most_steps):
+    """A marginal (N, row1, col1) of N up to 10**9 whose support has
+    fewest_steps + 1 to most_steps + 1 points, with a few n11 from the mode,
+    both ends and anywhere between, which on a wide support is mostly the
+    deep tails."""
+    n = draw(st.integers(max(1, 2 * fewest_steps), 10**4) | st.integers(max(1, 2 * fewest_steps), 10**9))
+    steps = draw(st.integers(fewest_steps, min(most_steps, n // 2)))
+    c1 = draw(st.integers(steps, n - steps))
+    r1 = draw(st.sampled_from([steps, n - steps]))
+    if draw(st.booleans()):
+        r1, c1 = c1, r1
+    lo, hi = max(0, r1 + c1 - n), min(r1, c1)
+    n11s = st.sampled_from([lo, hi, _mode(n, r1, c1)]) | st.integers(lo, hi)
+    return (n, r1, c1), draw(st.lists(n11s, min_size=1, max_size=4, unique=True))
+
+
+@given(st.lists(_marginal_n11s(0, CORE_MIN_TERMS - 2), min_size=1, max_size=4),
+       st.lists(_marginal_n11s(CORE_MIN_TERMS - 1, 5000), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_batch_routes_small_and_large_marginals_to_fisher_exacts_bits(small, large):
+    # Batched small supports and windowed large ones in one call.
+    n11s = dict(small + large)
+    results = _fisher_batch(n11s)
+    assert len(results) == sum(map(len, n11s.values()))
+    for (n, r1, c1), ks in n11s.items():
+        for n11 in ks:
+            assert results[n, r1, c1, n11] == fisher_exact(make_table(n11, r1 - n11, c1 - n11,
+                                                                       n - r1 - c1 + n11))
+
+
 @given(st.integers(1, 40), st.integers(0, 300), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_2d_log_and_exp_equal_per_row_calls(rows, width, seed):

@@ -15,7 +15,7 @@ from exactlex import (
     hypergeom_distribution,
     sample_table,
 )
-from exactlex import asymptotic, exact, report, simulate
+from exactlex import asymptotic, exact, simulate
 from exactlex.errors import DegenerateTableError, InvalidParameterError, UndefinedStatisticError
 
 
@@ -126,7 +126,8 @@ def test_windowed_cache_matches_full_support(monkeypatch):
     model = MultinomialModel.independent(0.03, 0.03)
     assert exact._fisher_distribution(8000, 240, 240).support_hi < 240
     windowed = calibration(model, 8000, trials=10_000, seed=5).to_dict()
-    monkeypatch.setattr(report, "_fisher_distribution", lambda *key, n11s: hypergeom_distribution(*key))
+    monkeypatch.setattr(exact, "_fisher_distribution",
+                        lambda n, r1, c1, n11s=None: hypergeom_distribution(n, r1, c1))
     assert calibration(model, 8000, trials=10_000, seed=5).to_dict() == windowed
 
 
@@ -178,12 +179,12 @@ def test_calibration_enumerates_each_marginal_once(monkeypatch):
     marginals = {(n_total, n11 + n12, n11 + n21) for n11, n12, n21, _ in distinct}
     assert len(marginals) < len(distinct)
     enumerated, batteries = [], []
-    monkeypatch.setattr(report, "_fisher_distribution",
-                        lambda *key, n11s, original=report._fisher_distribution:
-                        enumerated.append(key) or original(*key, n11s))
-    monkeypatch.setattr(report, "_fisher_batch",
-                        lambda n11s, original=report._fisher_batch:
-                        enumerated.extend(n11s) or original(n11s))
+    monkeypatch.setattr(exact, "_fisher_distribution",
+                        lambda n, r1, c1, n11s=None, original=exact._fisher_distribution:
+                        enumerated.append((n, r1, c1)) or original(n, r1, c1, n11s))
+    monkeypatch.setattr(exact, "_batch_pass",
+                        lambda rows, n11s, results, original=exact._batch_pass:
+                        enumerated.extend(key for key, *_ in rows) or original(rows, n11s, results))
     monkeypatch.setattr(asymptotic, "Battery",
                         lambda table, Battery=asymptotic.Battery: batteries.append(table.cells)
                         or Battery(table))
