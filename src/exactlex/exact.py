@@ -8,25 +8,27 @@ a log-sum-exp, so no factorial ever overflows and extreme tails never
 underflow, even at sample sizes of 10^9.
 
 Fisher's test enumerates only a window around the mode, O(sigma) terms
-instead of O(support). Terms are anchored at the mode, so each one inside the
-window is the same float as in the full enumeration, and every sum is the
-correctly rounded `math.fsum` of the whole support's terms, so the p-values
-are bit-identical to full enumeration. fsum is fed only a sum's core, the
-terms within 2**-80 of its largest. One bound covers the rest, including
-(support points past each window edge) x (edge term), and equal rounded sums
-with and without it show that the rest cannot change the result.
+instead of O(support). Every range takes its step ratios from one function,
+`_log_steps`, anchored where the full enumeration anchors them, and runs
+them outward from the mode, so each term inside the window is the same float
+as in the full enumeration. Every sum is the correctly rounded `math.fsum` of
+the whole support's terms, so the p-values are bit-identical to full
+enumeration. fsum is fed only a sum's core, the terms within 2**-80 of its
+largest. One bound covers the rest, including (support points past each
+window edge) x (edge term), and equal rounded sums with and without it show
+that the rest cannot change the result.
 
 So a window reaches only CORE_NATS plus the log of the support size below
 the smallest term its sums lean on: the mode's, and the observed n11's on
 both sides of the mode. WINDOW_NATS caps the depth: past it every term is
-0.0 and the bound is exactly zero, and a sum that a shallower window cannot
-certify is taken again on that exhaustive window.
+0.0 and the bound is exactly zero, and a window or a sum that a shallower
+window cannot certify is taken again on that exhaustive window.
 
 A support of fewer than CORE_MIN_TERMS points is enumerated whole, with no
 window and no lgamma call. `_fisher_batch` scores many marginals at once and
 is the one place that chooses how each is enumerated: the small supports in
-one 2D numpy pass per width bucket, which builds every row's terms with the
-same float operations as `_enumerate`, so its p-values are the same bits; a
+one 2D numpy pass per width bucket, which takes every row's steps from
+`_log_steps` as `_enumerate` does, so its p-values are the same bits; a
 larger one in one window as deep as its deepest n11.
 """
 
@@ -137,6 +139,27 @@ def _mode(n_total: int, row1_total: int, col1_total: int) -> int:
     return (row1_total + 1) * (col1_total + 1) // (n_total + 2)
 
 
+def _step_consts(n_total: int, row1_total: int, col1_total: int, base: int) -> tuple[float, ...]:
+    """The four factors of pmf(k+1)/pmf(k) at k = base, each rounded once
+    from a Python int to float64: `_log_steps` offsets them by j."""
+    return tuple(map(float, (row1_total - base, col1_total - base, base + 1,
+                             n_total - row1_total - col1_total + base + 1)))
+
+
+def _log_steps(c: Sequence[float] | np.ndarray, j: np.ndarray) -> np.ndarray:
+    """log pmf(k+1)/pmf(k) at k = base + j, from c = `_step_consts` at
+    base: floats, or arrays of them that broadcast against j, one row per
+    marginal. `_enumerate` and `_batch_pass` both take their steps from
+    here, so they are the same floats.
+
+    The ratio is (row1-k)(col1-k) / ((k+1)(N-row1-col1+k+1)), its log
+    accurate to a few ulps per step. Each factor is a constant at base plus
+    or minus the offset j, an exact float, so no difference of two large
+    floats loses the factor past 2**53.
+    """
+    return np.log(c[0] - j) + np.log(c[1] - j) - np.log(c[2] + j) - np.log(c[3] + j)
+
+
 def _enumerate(n_total: int, row1_total: int, col1_total: int, lo: int, hi: int,
                beyond_lo: int = 0, beyond_hi: int = 0) -> HypergeomDist | None:
     """Normalized log-pmf of n11 over [lo, hi], a range that holds the mode
@@ -151,19 +174,13 @@ def _enumerate(n_total: int, row1_total: int, col1_total: int, lo: int, hi: int,
     if size > _MAX_TERMS:
         raise MemoryError(f"cannot enumerate a window of {size} terms")
 
-    # Step ratio pmf(k+1)/pmf(k) = (row1-k)(col1-k) / ((k+1)(n-row1-col1+k+1)),
-    # its log accurate to a few ulps per step. With k = lo + j, each factor
-    # is a Python-int constant at lo plus or minus the small offset j, so no
-    # difference of two large floats loses the factor past 2**53.
-    j = np.arange(size - 1, dtype=np.float64)
-    log_ratio = (
-        np.log((row1_total - lo) - j)
-        + np.log((col1_total - lo) - j)
-        - np.log((lo + 1) + j)
-        - np.log((n_total - row1_total - col1_total + lo + 1) + j)
-    )
-
+    # Every range anchors its steps where the full enumeration does, at the
+    # support's low end, so a term has the same bits in every range; an
+    # anchor at most 2**52 below the mode keeps each offset an exact float.
     mi = _mode(n_total, row1_total, col1_total) - lo
+    base = max(lo - beyond_lo, lo + mi - 2**52)
+    log_ratio = _log_steps(_step_consts(n_total, row1_total, col1_total, base),
+                           np.arange(lo - base, hi - base, dtype=np.float64))
     unnorm = np.empty(size)
     unnorm[mi] = 0.0
     if mi < size - 1:
@@ -288,9 +305,12 @@ def _fisher_distribution(n_total: int, row1_total: int, col1_total: int,
     log-pmf ratio to the mode, concave in n11, aimed SEED_NATS deeper. The
     window is then checked on the enumerated terms: a running sum only falls
     away from the mode, so once an edge is deep enough, so is every term
-    beyond it. An edge short of that, or of an n11, is moved twice as far
-    from the mode. A window too shallow to certify its normaliser gives way
-    to the exhaustive window.
+    beyond it. A window that fails the check, leaves out an n11 or cannot
+    certify its normaliser gives way to the exhaustive window, and an
+    exhaustive window that fails it to the whole support, which leaves
+    nothing out. Each bisection spans at most _MAX_TERMS points from the
+    mode, so a support wider than a C ssize_t still gets its window, and a
+    window that needs more is refused by `_enumerate`.
     """
     lo, hi = _support(n_total, row1_total, col1_total)
     if hi - lo + 1 < CORE_MIN_TERMS:
@@ -319,25 +339,20 @@ def _fisher_distribution(n_total: int, row1_total: int, col1_total: int,
     nats = WINDOW_NATS
     if n11s is not None and min(rel_lo, rel_hi) < -WINDOW_NATS:
         nats = min(WINDOW_NATS, depth + SEED_NATS - min(0.0, *map(log_rel, n11s)))
+    left, right = range(lo, mode)[-_MAX_TERMS:], range(mode, hi)[:_MAX_TERMS]
     a = lo if rel_lo >= -nats else (
-        lo - 1 + bisect_left(range(lo, mode), True, key=lambda k: log_rel(k) >= -nats))
+        left.start - 1 + bisect_left(left, True, key=lambda k: log_rel(k) >= -nats))
     b = hi if rel_hi >= -nats else (
-        mode + bisect_left(range(mode, hi), True, key=lambda k: log_rel(k) < -nats))
-    while True:
-        dist = _enumerate(n_total, row1_total, col1_total, a, b, a - lo, hi - b)
-        if dist is None and nats < WINDOW_NATS:
-            return _fisher_distribution(n_total, row1_total, col1_total)
-        floor = -WINDOW_NATS
-        if dist is not None and nats < WINDOW_NATS and a <= min(n11s) and max(n11s) <= b:
-            floor = max(floor, min(dist.log_pmf[k - a] for k in (mode, *n11s)) - depth)
-        widen_a = a > lo and (dist is None or dist.log_pmf[0] > floor)
-        widen_b = b < hi and (dist is None or dist.log_pmf[-1] > floor)
-        if not (widen_a or widen_b):
+        mode + bisect_left(right, True, key=lambda k: log_rel(k) < -nats))
+    dist = _enumerate(n_total, row1_total, col1_total, a, b, a - lo, hi - b)
+    shallow = nats < WINDOW_NATS
+    if dist is not None and (not shallow or a <= min(n11s) <= max(n11s) <= b):
+        floor = -WINDOW_NATS if not shallow else max(
+            -WINDOW_NATS, min(dist.log_pmf[k - a] for k in (mode, *n11s)) - depth)
+        if (a == lo or dist.log_pmf[0] <= floor) and (b == hi or dist.log_pmf[-1] <= floor):
             return dist
-        if widen_a:
-            a = max(lo, mode - 2 * (mode - a))
-        if widen_b:
-            b = min(hi, mode + 2 * (b - mode))
+    return (_fisher_distribution(n_total, row1_total, col1_total) if shallow
+            else _enumerate(n_total, row1_total, col1_total, lo, hi))
 
 
 def hypergeom_distribution(n_total: int, row1_total: int, col1_total: int) -> HypergeomDist:
@@ -437,35 +452,28 @@ def _batch_pass(rows: list[tuple[tuple[int, int, int], int, int, int]],
                 n11s: dict[tuple[int, int, int], Sequence[int]],
                 results: dict[tuple[int, int, int, int], FisherResult]) -> None:
     """Score the marginals `rows` of (key, support_lo, support_hi, mode
-    index) into `results`, in one 2D pass with the same float operations
-    as `_enumerate`.
+    index) into `results`, in one 2D pass whose steps come from
+    `_log_steps`, anchored at the support's low end as `_enumerate` anchors
+    a support this short.
 
     Row i of the step arrays holds the steps right of row i's mode, row
     n + i those left of it, each in the order `_enumerate`'s cumsum adds
-    them; past the end of a support a factor is 1.0, so its log ratio is 0.0
-    and the running sum stays at the edge's value. The log-pmf array puts
-    every mode in one column, `width`. np.log and np.exp see only
-    C-contiguous float64 arrays, so they run the same loop on them as on
-    `_enumerate`'s 1D arrays, and give the same bits.
+    them. A step past the end of a support is clamped into it for
+    `_log_steps`, and its log ratio then set to 0.0, so the running sum
+    stays at the edge's value. The log-pmf array puts every mode in one
+    column, `width`. np.log and np.exp see only C-contiguous float64
+    arrays, so they run the same loop on them as on `_enumerate`'s 1D
+    arrays, and give the same bits.
     """
     n = len(rows)
     width = max(max(m, hi - lo - m) for _, lo, hi, m in rows)
-    # _enumerate's Python-int constants at lo, each rounded once to float64;
-    # the step offsets j from lo are exact.
-    consts = np.array([(row1 - lo, col1 - lo, lo + 1, n_total - row1 - col1 + lo + 1)
-                       for (n_total, row1, col1), lo, *_ in rows] * 2, dtype=np.float64)
     mi = np.array([m for *_, m in rows] * 2, dtype=np.float64)[:, None]
     t = np.arange(width, dtype=np.float64)
     j = np.concatenate((mi[:n] + t, mi[n:] - 1.0 - t))
     steps = np.array([hi - lo for _, lo, hi, _ in rows] * 2, dtype=np.float64)[:, None]
-    pad = (j < 0.0) | (j >= steps)
-
-    def log(factors: np.ndarray) -> np.ndarray:
-        factors[pad] = 1.0
-        return np.log(factors)
-
-    log_ratio = (log(consts[:, 0:1] - j) + log(consts[:, 1:2] - j)
-                 - log(consts[:, 2:3] + j) - log(consts[:, 3:4] + j))
+    consts = np.array([_step_consts(*key, lo) for key, lo, *_ in rows] * 2).T[:, :, None]
+    log_ratio = _log_steps(consts, np.clip(j, 0.0, steps - 1.0))
+    log_ratio[(j < 0.0) | (j >= steps)] = 0.0
     run = np.cumsum(log_ratio, axis=1)
     unnorm = np.empty((n, 2 * width + 1))
     unnorm[:, width] = 0.0

@@ -36,6 +36,19 @@ def rational_fisher(n_total: int, row1: int, col1: int, n11: int):
     return left, right, min(two, Fraction(1)), point
 
 
+def hypergeom_pmf_oracle(n_total: int, row1: int, col1: int, n11: int) -> float:
+    """The hypergeometric pmf at n11 from mpmath's loggamma at 80 digits,
+    for marginals too large for big-integer binomials."""
+    import mpmath
+
+    def log_comb(a: int, b: int):
+        return mpmath.loggamma(a + 1) - mpmath.loggamma(b + 1) - mpmath.loggamma(a - b + 1)
+
+    with mpmath.workdps(80):
+        return float(mpmath.exp(log_comb(col1, n11) + log_comb(n_total - col1, row1 - n11)
+                                - log_comb(n_total, row1)))
+
+
 def normal_sf_oracle(z: float) -> float:
     """High-precision standard normal upper tail via mpmath's erfc."""
     import mpmath

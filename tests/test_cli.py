@@ -46,6 +46,13 @@ def test_report_contains_reference_values():
     assert "WARNING: 100% of the cells have expected counts less than 5" in text
 
 
+def test_support_wider_than_2_63_points_exits_0():
+    status, text = run(["test", "--n11", "0", "--n12", str(2**64), "--n21", str(2**64),
+                        "--n22", str(2**130 - 2**65), "--format", "json"])
+    assert status == 0
+    assert strict_json(text)["fisher"]["point_p"] > 0.0
+
+
 def test_empty_table_exits_1(capsys):
     status, _ = run(["test", "--n11", "0", "--n12", "0", "--n21", "0", "--n22", "0"])
     assert status == 1

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from exactlex.exact import (
     _mode,
     fisher_from_dist,
 )
-from oracles import rational_fisher, rational_pmf
+from oracles import hypergeom_pmf_oracle, rational_fisher, rational_pmf
 
 
 def test_tea_distribution_rounded():
@@ -236,6 +238,20 @@ def test_windowed_fisher_beyond_the_window(cells):
     assert not win.support_lo <= n11 <= win.support_hi
 
 
+@pytest.mark.parametrize("n, r1, c1, n11", [
+    (22755279267536551015, 17413, 3232368841982582925, 2473),
+    (121981250875639557460, 121981250875639544619, 22350265463196907124, 22350265463196904771),
+    (44341330392747284, 29988922041852126, 1897, 1482),
+])
+def test_windowed_fisher_equals_full_enumeration_past_2_53(n, r1, c1, n11):
+    # Past N = 2**53 a step's constants, such as row1 - base, round
+    # differently at each anchor: these windows start above the support's
+    # low end, and must still anchor their steps where the full enumeration
+    # does to give its floats.
+    win = _assert_window_matches_full(n, r1, c1, [n11])
+    assert win.support_lo > max(0, r1 + c1 - n)
+
+
 def test_windowed_fisher_at_the_window_edges():
     n, r1, c1 = 10**7, 10**5, 4 * 10**5
     win = _fisher_distribution(n, r1, c1)
@@ -247,16 +263,25 @@ def test_windowed_fisher_at_the_window_edges():
 
 def test_window_placed_too_narrow_is_widened(monkeypatch):
     # A tenfold lgamma puts the bisected edges only about 80 nats below the
-    # peak; the check on the enumerated terms must widen the window.
+    # peak. The check on the enumerated terms refuses both the shallow
+    # window an n11 asks for and the exhaustive window, so each gives way to
+    # the whole support.
     n, r1, c1 = 10**7, 10**5, 4 * 10**5
     placed = _fisher_distribution(n, r1, c1)
     lgamma = math.lgamma
     monkeypatch.setattr(math, "lgamma", lambda x: 10.0 * lgamma(x))
     win = _fisher_distribution(n, r1, c1)
+    shallow = _fisher_distribution(n, r1, c1, (4000,))
+    table = make_table(4000, r1 - 4000, c1 - 4000, n - r1 - c1 + 4000)
+    windowed = fisher_exact(table)
     monkeypatch.undo()
     assert win.support_lo <= placed.support_lo and placed.support_hi <= win.support_hi
     assert win.log_pmf[0] <= -WINDOW_NATS and win.log_pmf[-1] <= -WINDOW_NATS
     _assert_window_matches_full(n, r1, c1, [win.support_lo, 4000, win.support_hi])
+    full = hypergeom_distribution(n, r1, c1)
+    assert shallow.support_lo == full.support_lo or shallow.log_pmf[0] <= -WINDOW_NATS
+    assert shallow.support_hi == full.support_hi or shallow.log_pmf[-1] <= -WINDOW_NATS
+    assert windowed == fisher_from_dist(full, 4000)
 
 
 @pytest.mark.parametrize("n", [10**7, 10**9])
@@ -546,3 +571,54 @@ def test_2d_log_and_exp_equal_per_row_calls(rows, width, seed):
         batch = f(values)
         for row, out in zip(values, batch):
             assert np.array_equal(f(row.copy()), out)
+
+
+def _pinned_marginals():
+    """About 600 seeded marginals with N from 2 to past 2**66 and supports up
+    to 2 * 10**4 points, each with both ends of its support, its mode and one
+    seeded n11."""
+    rng = random.Random(14)
+    n11s = {}
+    for _ in range(600):
+        n = rng.choice([rng.randint(2, 300), rng.randint(2, 10**9), rng.randint(2, 2**67)])
+        steps = rng.randint(0, min(n // 2, rng.choice([126, 2 * 10**4])))
+        c1 = rng.randint(steps, n - steps)
+        r1 = rng.choice([steps, n - steps])
+        if rng.random() < 0.5:
+            r1, c1 = c1, r1
+        lo, hi = max(0, r1 + c1 - n), min(r1, c1)
+        n11s[n, r1, c1] = sorted({lo, hi, _mode(n, r1, c1), rng.randint(lo, hi)})
+    return n11s
+
+
+def test_p_value_bits_are_pinned():
+    # The hypothesis tests compare the windows and the batch with the full
+    # enumeration, which runs the same step formula: a change to it that
+    # moved every bit alike would pass them. This digest of 2,290 tables'
+    # p-values was taken from the full enumeration,
+    # fisher_from_dist(hypergeom_distribution(...)), which each window and
+    # the batch must equal to the bit.
+    n11s = _pinned_marginals()
+    assert max(n11s)[0] > 2**66
+    batch = _fisher_batch(n11s)
+    sha = hashlib.sha256()
+    for (n, r1, c1), ks in n11s.items():
+        for n11 in ks:
+            result = fisher_exact(make_table(n11, r1 - n11, c1 - n11, n - r1 - c1 + n11))
+            assert batch[n, r1, c1, n11] == result
+            for p in (result.left_p, result.right_p, result.two_sided_p, result.point_p):
+                sha.update(p.hex().encode())
+    assert len(batch) == 2290
+    assert sha.hexdigest() == "f2e35a978b5fe45fcb4f1a3fee3e68ff34aab0884c9339ee13abdc0bb52a053d"
+
+
+@pytest.mark.parametrize("n, r1, c1", [(2**130, 2**64, 2**64), (2**130, 2**63 + 4, 2**63 + 4),
+                                       (2**200, 2**100, 2**99)])
+def test_supports_wider_than_2_63_points(n, r1, c1):
+    # Supports too long for a C ssize_t, around a mean n11 below 1: the
+    # window's edges are bisected within _MAX_TERMS points of the mode, and
+    # the window itself holds a few dozen terms.
+    for n11 in (0, 1, 3):
+        result = fisher_exact(make_table(n11, r1 - n11, c1 - n11, n - r1 - c1 + n11))
+        assert _fisher_batch({(n, r1, c1): [n11]})[n, r1, c1, n11] == result
+        assert result.point_p == pytest.approx(hypergeom_pmf_oracle(n, r1, c1, n11), rel=1e-12)
