@@ -172,21 +172,41 @@ def _cmd_assoc(args, out) -> int:
     return 0
 
 
+def _ranks(keys: list[str]) -> np.ndarray:
+    """The position of each key in the sorted keys."""
+    ranks = np.empty(len(keys), np.int64)
+    ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    return ranks
+
+
 def _cmd_count(args, out) -> int:
+    # Rows go by descending count, ties by name, sorted on integer ranks. No
+    # name holds a space, so "u v" < "u' v'" exactly when u + " " < u' + " ",
+    # or u = u' and v < v'. The first slot ranks name + " ", not name: "a\x01"
+    # comes after "a" but "a\x01 c" before "a b".
     corpus = _read_corpus(args)
     names = corpus.names
+    by_name = _ranks(names)
     if args.bigrams:
         codes, counts = corpus.bigram_types()
         first, second = np.divmod(codes, len(names))
-        names = [f"{names[a]} {names[b]}" for a, b in zip(first.tolist(), second.tolist())]
+        keys = _ranks([name + " " for name in names])[first] * len(names) + by_name[second]
     else:
-        counts = corpus.word_counts()
-    # Descending count, ties by name: the names are unique, so a stable sort
-    # by count over name order.
-    order = np.array(sorted(range(len(names)), key=names.__getitem__), np.intp)
-    order = order[np.argsort(-counts[order], kind="stable")].tolist()
-    counts = counts.tolist()
-    out.write("".join([f"{names[i]}\t{counts[i]}\n" for i in order]))
+        counts, keys = corpus.word_counts(), by_name
+    order = np.argsort(keys)
+    order = order[np.argsort(-counts[order], kind="stable")]
+    if args.bigrams:
+        labels = map(" ".join, zip(map(names.__getitem__, first[order].tolist()),
+                                   map(names.__getitem__, second[order].tolist())))
+    else:
+        labels = map(names.__getitem__, order.tolist())
+    labels = list(labels)
+    # Rows of equal count are adjacent, and each run of them is one join. No
+    # count is -1, so the padded diff marks both ends as run bounds.
+    counts = counts[order]
+    bounds = np.flatnonzero(np.diff(counts, prepend=-1, append=-1)).tolist()
+    tails = [f"\t{count}\n" for count in counts[bounds[:-1]].tolist()]
+    out.write("".join([tail.join(labels[lo:hi]) + tail for tail, lo, hi in zip(tails, bounds, bounds[1:])]))
     return 0
 
 

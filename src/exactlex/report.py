@@ -66,33 +66,41 @@ def _fmt(value: float, decimals: int, width: int = 10) -> str:
     return f"{value:>{width}.{decimals}f}"
 
 
+def _width(least: int, *cells: str) -> int:
+    """A column's width: `least`, or one more than its widest cell where that
+    cell would fill `least`, so that neighbouring values never run together."""
+    return max(least, 1 + max(map(len, cells), default=0))
+
+
 def _grid(table: ContingencyTable2x2, expected) -> list[str]:
     n = table.total
-    lines = []
-    header = f"{'':12}{'col1':>10}{'col2':>10}{'Total':>10}"
-    lines.append(header)
     rows = [
         ("row1", (table.n11, table.n12), (expected.m11, expected.m12), table.row1),
         ("row2", (table.n21, table.n22), (expected.m21, expected.m22), table.row2),
     ]
-    for name, obs, exp, row_total in rows:
-        lines.append(name)
-        lines.append(f"{'Frequency':<12}{obs[0]:>10}{obs[1]:>10}{row_total:>10}")
-        lines.append(f"{'Expected':<12}{_fmt(exp[0], DECIMALS)}{_fmt(exp[1], DECIMALS)}")
-        lines.append(
-            f"{'Deviation':<12}{_fmt(obs[0] - exp[0], DECIMALS)}{_fmt(obs[1] - exp[1], DECIMALS)}"
-        )
-        lines.append(
-            f"{'Percent':<12}{_fmt(100 * obs[0] / n, 2)}{_fmt(100 * obs[1] / n, 2)}"
-            f"{_fmt(100 * row_total / n, 2)}"
-        )
-    lines.append(
-        f"{'Total':<12}{table.col1:>10}{table.col2:>10}{n:>10}"
-    )
-    lines.append(
-        f"{'':12}{_fmt(100 * table.col1 / n, 2)}{_fmt(100 * table.col2 / n, 2)}"
-        f"{_fmt(100.0, 2)}"
-    )
+    # Each row's expected counts and deviations, formatted once.
+    cells = [(f"{exp[0]:.{DECIMALS}f}", f"{exp[1]:.{DECIMALS}f}",
+              f"{obs[0] - exp[0]:.{DECIMALS}f}", f"{obs[1] - exp[1]:.{DECIMALS}f}") for _, obs, exp, _ in rows]
+    (m11, m12, d11, d12), (m21, m22, d21, d22) = cells
+    col1, col2, total = str(table.col1), str(table.col2), str(n)
+    # A column's total is its widest count, and no percent reaches 10
+    # characters, so only totals, expected counts and deviations can widen
+    # a column.
+    w1 = _width(10, col1, m11, d11, m21, d21)
+    w2 = _width(10, col2, m12, d12, m22, d22)
+    w3 = _width(10, total)
+    lines = [f"{'':12}{'col1'.rjust(w1)}{'col2'.rjust(w2)}{'Total'.rjust(w3)}"]
+    for (name, obs, _, row_total), (m1, m2, d1, d2) in zip(rows, cells):
+        lines += [
+            name,
+            f"{'Frequency':<12}{str(obs[0]).rjust(w1)}{str(obs[1]).rjust(w2)}{str(row_total).rjust(w3)}",
+            f"{'Expected':<12}{m1.rjust(w1)}{m2.rjust(w2)}",
+            f"{'Deviation':<12}{d1.rjust(w1)}{d2.rjust(w2)}",
+            f"{'Percent':<12}{100 * obs[0] / n:>{w1}.2f}{100 * obs[1] / n:>{w2}.2f}"
+            f"{100 * row_total / n:>{w3}.2f}",
+        ]
+    lines.append(f"{'Total':<12}{col1.rjust(w1)}{col2.rjust(w2)}{total.rjust(w3)}")
+    lines.append(f"{'':12}{100 * table.col1 / n:>{w1}.2f}{100 * table.col2 / n:>{w2}.2f}{100.0:>{w3}.2f}")
     return lines
 
 
@@ -107,36 +115,35 @@ def render_freq_report(results: dict) -> str:
     lines = ["TABLE OF X BY Y", ""]
     lines.extend(_grid(table, results["expected"]))
     lines += ["", "STATISTICS FOR TABLE OF X BY Y", ""]
-    lines.append(f"{'Statistic':<30}{'DF':>4}{'Value':>12}{'Prob':>10}")
-    for name in ("pearson", "g2", "yates", "mantel_haenszel"):
-        label = STAT_LABELS[name]
+    # The Value column is 12 wide unless a statistic fills that; the
+    # association measures lie in [-1, 1], so they never do.
+    values = {name: f"{results[name].statistic:.{DECIMALS}f}" for name in (*STAT_LABELS, "t_test")
+              if results[name] is not None}
+    width = _width(12, *values.values())
+    lines.append(f"{'Statistic':<30}{'DF':>4}{'Value'.rjust(width)}{'Prob':>10}")
+    for name, label in STAT_LABELS.items():
         result = results[name]
         if result is None:
-            lines.append(f"{label:<30}{'':>4}{'':>12}{'--':>10}")
+            lines.append(f"{label:<30}{'':>4}{' ' * width}{'--':>10}")
         else:
-            lines.append(
-                f"{label:<30}{result.df:>4}"
-                f"{_fmt(result.statistic, DECIMALS, 12)}"
-                f"{_fmt(result.p_value, DECIMALS)}"
-            )
+            lines.append(f"{label:<30}{result.df:>4}{values[name].rjust(width)}{_fmt(result.p_value, DECIMALS)}")
     fisher_label = "Fisher's Exact Test (Left)"
-    lines.append(f"{fisher_label:<46}{_fmt(fisher.left_p, DECIMALS)}")
-    lines.append(f"{'(Right)':>26}{'':20}{_fmt(fisher.right_p, DECIMALS)}")
-    lines.append(f"{'(2-Tail)':>27}{'':19}{_fmt(fisher.two_sided_p, DECIMALS)}")
-    lines.append(f"{f'P(n11 = {table.n11})':<46}{_fmt(fisher.point_p, DECIMALS)}")
+    lines.append(f"{fisher_label.ljust(34 + width)}{_fmt(fisher.left_p, DECIMALS)}")
+    lines.append(f"{'(Right)':>26}{' ' * (8 + width)}{_fmt(fisher.right_p, DECIMALS)}")
+    lines.append(f"{'(2-Tail)':>27}{' ' * (7 + width)}{_fmt(fisher.two_sided_p, DECIMALS)}")
+    lines.append(f"{f'P(n11 = {table.n11})'.ljust(34 + width)}{_fmt(fisher.point_p, DECIMALS)}")
     measures: AssociationMeasures | None = results["measures"]
     if measures is not None:
-        lines.append(f"{'Phi Coefficient':<34}{_fmt(measures.phi, DECIMALS, 12)}")
+        lines.append(f"{'Phi Coefficient':<34}{_fmt(measures.phi, DECIMALS, width)}")
         lines.append(
-            f"{'Contingency Coefficient':<34}{_fmt(measures.contingency_coefficient, DECIMALS, 12)}"
+            f"{'Contingency Coefficient':<34}{_fmt(measures.contingency_coefficient, DECIMALS, width)}"
         )
         cramers_label = "Cramer's V"
-        lines.append(f"{cramers_label:<34}{_fmt(measures.cramers_v, DECIMALS, 12)}")
+        lines.append(f"{cramers_label:<34}{_fmt(measures.cramers_v, DECIMALS, width)}")
     t_result = results["t_test"]
     if t_result is not None:
         lines.append(
-            f"{'T-Statistic (normal tail)':<34}{_fmt(t_result.statistic, DECIMALS, 12)}"
-            f"{_fmt(t_result.p_value, DECIMALS)}"
+            f"{'T-Statistic (normal tail)':<34}{values['t_test'].rjust(width)}{_fmt(t_result.p_value, DECIMALS)}"
         )
     lines += ["", f"Sample Size = {table.total}"]
     warning = results["warning"]

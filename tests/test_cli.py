@@ -92,6 +92,40 @@ def test_rendering_is_pure():
     assert render_freq_report(results) == render_freq_report(results)
 
 
+@given(st.tuples(st.integers(0, 10**4), st.integers(0, 10**4), st.integers(0, 10**12),
+                 st.integers(0, 10**12)).filter(any))
+@settings(max_examples=60, deadline=None)
+def test_report_values_never_run_together(cells):
+    n11, n12, n21, n22 = cells
+    lines = render_freq_report(compute_all(make_table(*cells))).splitlines()
+
+    def fields(label):
+        return [line.split() for line in lines if line.startswith(label)]
+
+    n = sum(cells)
+    assert fields("Frequency") == [["Frequency", str(n11), str(n12), str(n11 + n12)],
+                                   ["Frequency", str(n21), str(n22), str(n21 + n22)]]
+    assert fields("Total") == [["Total", str(n11 + n21), str(n12 + n22), str(n)]]
+    for row in fields("Expected") + fields("Deviation"):
+        assert len(row) == 3 and all(float(value) == float(value) for value in row[1:])
+    for row in fields("Chi-Square") + fields("Likelihood Ratio"):
+        assert row[-1] == "--" or row[-3] == "1"
+    # The Value column's right edge lines up with its header's.
+    header = next(line for line in lines if line.startswith("Statistic"))
+    edge = header.index("Value") + len("Value")
+    for line in lines:
+        if line.startswith(("Chi-Square", "Phi Coefficient", "T-Statistic")) and "--" not in line:
+            assert line[edge - 1] != " " and line[edge:edge + 1] in ("", " ")
+
+
+def test_report_widens_only_columns_a_value_fills():
+    text = render_freq_report(compute_all(make_table(500, 199500, 1999500, 997800500)))
+    assert "Expected         400.000    199600.000\n" in text
+    assert "Total            2000000     998000000 1000000000\n" in text
+    text = render_freq_report(compute_all(make_table(1000, 0, 0, 10**9)))
+    assert "Chi-Square                       1 1000001000.000     0.000\n" in text
+
+
 def test_degenerate_table_report_renders_with_note():
     results = compute_all(make_table(0, 0, 2, 3))
     text = render_freq_report(results)
@@ -322,7 +356,7 @@ def _test_argvs(fmt: str) -> list[list[str]]:
 
 
 @pytest.mark.parametrize("argvs, digest", [
-    (_test_argvs("report"), "e0201c474fba5e131b940db1409606da0d6e5b41c2cb0a9122b50046bbe155f8"),
+    (_test_argvs("report"), "5a6c5d495eab357aad06c921324304b32d07d7a58dc3cc16f029813a841542be"),
     (_test_argvs("json"), "4a6b28a99ae08fc67644822b91bdb699876c64fd8ec6a4368047b094825e3895"),
     ([["tea"]], "2dcc4f752d05b47b758d864c031890ff0dfca5cb2a38fcca1179666fce465633"),
     ([["simulate", "--p-row", "0.001", "--p-col", "0.001", "--n", "100", "--trials", "2000",
@@ -337,8 +371,10 @@ def _test_argvs(fmt: str) -> list[list[str]]:
 ])
 def test_table_output_is_golden(argvs, digest):
     # Digests of the output before the asymptotic tests were gathered into
-    # one battery per table; the bytes must not change. The one exception is
-    # the mostly degenerate simulate case, whose bare NaN is now JSON's null.
+    # one battery per table; the bytes must not change. The exceptions are
+    # the mostly degenerate simulate case, whose bare NaN is now JSON's null,
+    # and the text reports whose values filled their columns and ran
+    # together: those columns are now one wider than their widest value.
     sha = hashlib.sha256()
     for argv in argvs:
         status, text = run(argv)

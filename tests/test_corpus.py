@@ -274,16 +274,42 @@ def test_count_shards_equals_per_shard_counts_merged(config, shards):
 @pytest.mark.parametrize("sentence_reset", [False, True])
 def test_count_shards_normalises_each_distinct_run_once(sentence_reset, monkeypatch):
     calls = Counter()
-    normalise = corpus._normalise
+    normalise_runs = corpus._normalise_runs
 
-    def counting(raw, config):
-        calls[raw] += 1
-        return normalise(raw, config)
+    def counting(runs, config):
+        calls.update(runs)
+        return normalise_runs(runs, config)
 
-    monkeypatch.setattr(corpus, "_normalise", counting)
+    monkeypatch.setattr(corpus, "_normalise_runs", counting)
     shards = ["Tea tea. «Tea»\ntea — tea\n", "", "tea. Tea\n— strong tea\n", "Tea\nTea tea."]
     _token_ids(shards, TokenizerConfig(sentence_reset=sentence_reset))
     assert calls == Counter({raw: 1 for shard in shards for raw in shard.split()})
+
+
+NORMALISE_CONFIGS = [TokenizerConfig(lowercase, strip) for lowercase, strip
+                     in itertools.product((False, True), repeat=2)]
+
+
+@pytest.mark.parametrize("config", NORMALISE_CONFIGS)
+@pytest.mark.parametrize("runs", [
+    [],
+    # ASCII, with every ASCII P* character at an edge, symbols (S*) that
+    # are kept, control characters str.split keeps, and runs that strip to "".
+    ["Tea", "tea.", "(TEA)", "...", "!?", "a\x01", "\x1bA", "'s", "$5", "x_y_", "{}", "A-B",
+     "[x]", '"q"', "#tag", "%&*", "@me,", ";-:", "\\", "~^`|<=>+", "mid-Dle"],
+    ["Tea", "«Tea»", "—", "tea.", "ẞtraße!", "¿Qué?", "...", "ΣΟΦΊΑ", "İ.", "a"],  # mixed
+    ["«Tea»", "—", "ẞtraße", "¿!", "ΣΟΦΊΑ.", "İstanbul", "«»"],  # no ASCII run
+])
+def test_normalise_runs_equals_normalise_per_run(config, runs):
+    assert corpus._normalise_runs(runs, config) == [corpus._normalise(raw, config) for raw in runs]
+
+
+@pytest.mark.parametrize("config", NORMALISE_CONFIGS)
+@given(st.lists(st.text(alphabet=st.characters(max_codepoint=0x2FFF), min_size=1).filter(
+    lambda raw: raw.split() == [raw]), max_size=20))
+@settings(max_examples=60)
+def test_normalise_runs_equals_normalise_per_run_on_any_runs(config, runs):
+    assert corpus._normalise_runs(runs, config) == [corpus._normalise(raw, config) for raw in runs]
 
 
 # --- the CLI's id-coded commands against the Counter counts they replace -----
@@ -383,6 +409,28 @@ def test_count_bigrams_sorts_ties_by_joined_name():
     status, text, _ = _run_cli(["count", "--bigrams"], ["a\x01 c a b\na\x01 c a b\n"], TokenizerConfig())
     assert status == 0
     assert text.splitlines()[:2] == ["a\x01 c\t2", "a b\t2"]
+
+
+# Words whose joined bigram names sort apart from their own names' order:
+# prefixes of each other, characters below the space that str.split keeps,
+# and non-ASCII words.
+ORDER_WORDS = ["a", "ab", "a\x01", "a\x1b", "\x01", "b", "A", "ab.", "ẞtraße", "ΣΟΦΊΑ", "straße"]
+order_shards = st.lists(st.lists(st.tuples(st.sampled_from(ORDER_WORDS), st.sampled_from([" ", "\n"])),
+                                 min_size=1, max_size=30).map(lambda pieces: "".join(w + sep for w, sep in pieces)),
+                        min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("config", ALL_CONFIGS)
+@given(order_shards)
+@settings(max_examples=40, deadline=None)
+def test_count_rows_sort_by_count_then_joined_name(config, shards):
+    words, bigrams = _reference_count_shards(shards, config)
+    joined = Counter({" ".join(pair): count for pair, count in bigrams.pair_counts.items()})
+    for argv, expected in ((["count"], words), (["count", "--bigrams"], joined)):
+        status, text, _ = _run_cli(argv, shards, config)
+        assert status == 0
+        rows = [(name, int(count)) for name, count in (line.rsplit("\t", 1) for line in text.split("\n")[:-1])]
+        assert rows == sorted(expected.items(), key=lambda row: (-row[1], row[0])), argv
 
 
 @pytest.mark.parametrize("fixed", ["--second", "--first"])
