@@ -7,8 +7,7 @@ from dataclasses import dataclass
 from . import asymptotic
 from .corpus import BigramCounts
 from .errors import NoObservationsError
-from .exact import FisherResult
-from .report import _score_distinct
+from .report import _score_columns
 from .tables import ContingencyTable2x2
 
 # The record field each rank key reads. Ranking uses the two-sided exact
@@ -54,28 +53,6 @@ def bigram_table(counts: BigramCounts, w1: str, w2: str) -> ContingencyTable2x2:
     return ContingencyTable2x2(n11, n12, n21, n22)
 
 
-def _p(result: asymptotic.TestResult | None) -> float | None:
-    return None if result is None else result.p_value
-
-
-def _record(word: str, table: ContingencyTable2x2, fisher: FisherResult,
-            tests: asymptotic.Battery) -> AssociationRecord:
-    return AssociationRecord(
-        word=word,
-        n11=table.n11,
-        m11=tests.expected.m11,
-        exact_left_p=fisher.left_p,
-        exact_right_p=fisher.right_p,
-        exact_two_p=fisher.two_sided_p,
-        point_p=fisher.point_p,
-        g2_p=_p(tests.g2),
-        x2_p=_p(tests.pearson),
-        t_p=_p(tests.t_test),
-        asym_note=tests.notes.get("g2"),
-        t_note=tests.notes.get("t_test"),
-    )
-
-
 def rank_records(
     records: list[AssociationRecord], key: str
 ) -> tuple[list[AssociationRecord], list[AssociationRecord]]:
@@ -106,24 +83,31 @@ def association_scan(
     Exactly one of fixed_second / fixed_first selects the fixed slot; the
     record's word is the varying slot. Results are ordered by exact-test rank.
 
-    Each distinct table is scored once (see `report._score_distinct`), and
-    each record is its own object.
+    Each partner's table is read straight from `counts` as a column of
+    `report._score_columns`, which scores each distinct table once; a NaN
+    there, a refused test, becomes None.
     """
     if (fixed_second is None) == (fixed_first is None):
         raise ValueError("exactly one of fixed_second or fixed_first is required")
 
-    if fixed_first is None:
-        slot, fixed, position, marginal = 1, fixed_second, "second", counts.second_counts
-    else:
-        slot, fixed, position, marginal = 0, fixed_first, "first", counts.first_counts
-    if marginal.get(fixed, 0) < 1:
-        raise NoObservationsError(f"no observations: {fixed!r} never occurs in {position} position")
-    tables = {pair[1 - slot]: bigram_table(counts, *pair)
-              for pair, c in counts.pair_counts.items() if pair[slot] == fixed and c >= min_count}
-
-    scores = _score_distinct(tables.values())
-    # Deterministic base order regardless of counting/iteration order.
-    records = [_record(word, table, *scores[table.cells]) for word, table in sorted(tables.items())]
+    slot, fixed = (1, fixed_second) if fixed_first is None else (0, fixed_first)
+    marginals = (counts.first_counts, counts.second_counts)
+    if marginals[slot].get(fixed, 0) < 1:
+        raise NoObservationsError(
+            f"no observations: {fixed!r} never occurs in {('first', 'second')[slot]} position")
+    # Deterministic base order regardless of counting/iteration order. The
+    # pairs differ only in the partner, so they sort by it.
+    pairs = sorted(pair for pair, c in counts.pair_counts.items() if pair[slot] == fixed and c >= min_count)
+    n11s = [counts.pair_counts[pair] for pair in pairs]
+    columns = _score_columns(n11s, [marginals[0].get(w1, 0) for w1, _ in pairs],
+                             [marginals[1].get(w2, 0) for _, w2 in pairs], [counts.total_bigrams] * len(pairs))
+    records = []
+    for pair, n11, column in zip(pairs, n11s, columns.T.tolist()):
+        left, right, two, x2, g2, t, point, m11 = (None if p != p else p for p in column)
+        records.append(AssociationRecord(
+            pair[1 - slot], n11, m11, left, right, two, point, g2, x2, t,
+            asym_note=None if g2 is not None else asymptotic.DEGENERATE_NOTE,
+            t_note=None if t is not None else asymptotic.T_UNDEFINED_NOTE))
     for key in RANK_KEYS:
         rank_records(records, key)
     records.sort(key=lambda r: (r.exact_rank is None, r.exact_rank, r.word))

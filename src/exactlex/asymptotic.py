@@ -16,6 +16,11 @@ from dataclasses import dataclass
 from .errors import DegenerateTableError, ExactLexError, UndefinedStatisticError
 from .tables import ContingencyTable2x2, ExpectedTable, expected_counts
 
+# Why a table refuses the chi-square tests, and why it refuses the t-test:
+# `Battery.notes` holds these, and scan records carry them.
+DEGENERATE_NOTE = "degenerate table: a zero marginal gives a zero expected count"
+T_UNDEFINED_NOTE = "t-statistic undefined: n11 = 0"
+
 
 @dataclass(frozen=True)
 class TestResult:
@@ -115,12 +120,10 @@ class Battery:
         # A zero marginal is the only way to a zero expected count: for one to
         # underflow, another would first overflow in expected_counts.
         if min(table.row1, table.row2, table.col1, table.col2) == 0:
-            self.notes.update(dict.fromkeys(
-                ("pearson", "g2", "yates", "mantel_haenszel"),
-                "degenerate table: a zero marginal gives a zero expected count"))
+            self.notes.update(dict.fromkeys(("pearson", "g2", "yates", "mantel_haenszel"), DEGENERATE_NOTE))
             self.notes["measures"] = "degenerate table: a marginal total is zero"
         if table.n11 == 0:
-            self.notes["t_test"] = "t-statistic undefined: n11 = 0"
+            self.notes["t_test"] = T_UNDEFINED_NOTE
         self.expected: ExpectedTable = expected_counts(table)
         self.pearson = None if "pearson" in self.notes else self._pearson()
         self.g2 = None if "g2" in self.notes else self._g2()

@@ -15,8 +15,8 @@ from dataclasses import asdict
 import numpy as np
 
 from .assoc import AssociationRecord, association_scan
-from .corpus import TokenizerConfig, _summary, _token_ids, _TokenIds, read_text
-from .errors import ExactLexError
+from .corpus import TokenizerConfig, _normalise_runs, _summary, _token_ids, _TokenIds, read_text
+from .errors import ExactLexError, NoObservationsError
 from .report import STAT_LABELS, compute_all, render_freq_report
 from .simulate import MultinomialModel, calibration
 from .tables import make_table
@@ -104,11 +104,14 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _config(args) -> TokenizerConfig:
+    return TokenizerConfig(lowercase=args.lowercase, strip_punctuation=args.strip_punct,
+                           sentence_reset=args.sentence_reset)
+
+
 def _read_corpus(args) -> _TokenIds:
     # Inputs are read one at a time, each tokenized straight into word ids.
-    config = TokenizerConfig(lowercase=args.lowercase, strip_punctuation=args.strip_punct,
-                             sentence_reset=args.sentence_reset)
-    return _token_ids(map(read_text, args.input), config)
+    return _token_ids(map(read_text, args.input), _config(args))
 
 
 def _record_row(record: AssociationRecord) -> list[str]:
@@ -158,11 +161,14 @@ def _cmd_test(args, out) -> int:
 
 
 def _cmd_assoc(args, out) -> int:
-    slot, word = (1, args.second) if args.first is None else (0, args.first)
+    slot, raw = (1, args.second) if args.first is None else (0, args.first)
+    # The fixed word is matched against tokens, so it is normalised as they are.
+    [word] = _normalise_runs([raw], _config(args))
+    if not word:
+        raise NoObservationsError(f"no observations: {raw!r} normalises to no word")
     records = association_scan(
         _read_corpus(args).partner_counts(word, slot),
-        fixed_second=args.second,
-        fixed_first=args.first,
+        **{"fixed_second" if slot else "fixed_first": word},
         min_count=args.min_count,
     )
     if args.format == "json":
@@ -225,15 +231,13 @@ def _cmd_zipf(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    explicit = [args.p11, args.p12, args.p21, args.p22]
-    if all(p is not None for p in explicit):
-        model = MultinomialModel(*explicit)
-    elif args.p_row is not None and args.p_col is not None:
-        model = MultinomialModel.independent(args.p_row, args.p_col)
+    cells, margins = [args.p11, args.p12, args.p21, args.p22], [args.p_row, args.p_col]
+    if None not in cells and margins == [None] * 2:
+        model = MultinomialModel(*cells)
+    elif None not in margins and cells == [None] * 4:
+        model = MultinomialModel.independent(*margins)
     else:
-        raise ExactLexError(
-            "simulate needs either --p-row and --p-col, or all of --p11..--p22"
-        )
+        raise ExactLexError("simulate needs either --p-row and --p-col, or all of --p11..--p22, not both")
     alphas = tuple(args.alpha) if args.alpha else (0.01, 0.05, 0.10)
     report = calibration(model, args.n, args.trials, alphas=alphas, seed=args.seed)
     out.write(json.dumps(report.to_dict(), indent=2) + "\n")

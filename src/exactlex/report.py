@@ -1,12 +1,15 @@
 """Fixed-layout text report for a single 2x2 table, in the style of classic
 cross-tabulation output: a frequency/expected/deviation/percent grid followed
 by the statistics list, sample size, and a small-expected-count warning.
-`_score_distinct` pairs the same tests over many tables for `assoc` and
-`simulate`."""
+`_score_columns` gives the same tests' p-values over many tables, as rows
+in SCORE_ROWS order, to `assoc` and `simulate`."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import math
+from collections.abc import Sequence
+
+import numpy as np
 
 from . import asymptotic
 from .asymptotic import AssociationMeasures
@@ -27,6 +30,9 @@ DECIMALS = 3
 # Every battery result compute_all reports, in the order their notes print.
 NOTE_LABELS = {**STAT_LABELS, "t_test": "T-Statistic", "measures": "Association measures"}
 
+# The rows of `_score_columns`, in order.
+SCORE_ROWS = ("left", "right", "two", "x2", "g2", "t", "point", "m11")
+
 
 def compute_all(table: ContingencyTable2x2) -> dict:
     """Run every test on one table; absent results carry their reason."""
@@ -41,25 +47,35 @@ def compute_all(table: ContingencyTable2x2) -> dict:
     return results
 
 
-def _score_distinct(
-    tables: Iterable[ContingencyTable2x2],
-) -> dict[tuple[int, int, int, int], tuple[FisherResult, asymptotic.Battery]]:
-    """Fisher's test and the asymptotic battery of each distinct table, keyed
-    by its cells in first-seen order.
+def _score_columns(n11: Sequence[int], row1: Sequence[int], col1: Sequence[int],
+                   n_total: Sequence[int]) -> np.ndarray:
+    """The scores of the tables (n11, row1, col1, N), given as four
+    equal-length sequences of Python ints, as a float64 array with one
+    column per table and one row per name in SCORE_ROWS: Fisher's left,
+    right and two-sided p, the X^2, G^2 and t p-values, Fisher's point
+    probability and the expected n11. A test the table refuses gives NaN.
 
     Word-pair and sampled tables repeat heavily, so each distinct table is
-    scored once, and tables with equal marginals (N, row1, col1) share one
-    enumeration: all of them go to `exact._fisher_batch` in one call, which
-    chooses how each marginal is enumerated.
+    validated as a `ContingencyTable2x2` and scored once, with one
+    `asymptotic.Battery`; tables with equal marginals share one enumeration:
+    every distinct marginal goes to `exact._fisher_batch` in one call, which
+    chooses how each is enumerated.
     """
-    distinct = {table.cells: table for table in tables}
+    keys = list(zip(n_total, row1, col1, n11))
+    tables: dict[tuple[int, int, int, int], ContingencyTable2x2] = {}
     n11s: dict[tuple[int, int, int], list[int]] = {}
-    for table in distinct.values():
-        n11s.setdefault((table.total, table.row1, table.col1), []).append(table.n11)
+    for n, r1, c1, k in dict.fromkeys(keys):
+        tables[n, r1, c1, k] = ContingencyTable2x2(k, r1 - k, c1 - k, n - r1 - c1 + k)
+        n11s.setdefault((n, r1, c1), []).append(k)
     fisher = _fisher_batch(n11s)
-    return {cells: (fisher[table.total, table.row1, table.col1, table.n11],
-                    asymptotic.Battery(table))
-            for cells, table in distinct.items()}
+    scores = {}
+    for key, table in tables.items():
+        tests, exact = asymptotic.Battery(table), fisher[key]
+        scores[key] = (exact.left_p, exact.right_p, exact.two_sided_p,
+                       *(math.nan if result is None else result.p_value
+                         for result in (tests.pearson, tests.g2, tests.t_test)),
+                       exact.point_p, tests.expected.m11)
+    return np.array([scores[key] for key in keys], dtype=np.float64).reshape(-1, len(SCORE_ROWS)).T
 
 
 def _fmt(value: float, decimals: int, width: int = 10) -> str:

@@ -14,10 +14,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import asymptotic
 from .errors import InvalidParameterError
-from .exact import FisherResult
-from .report import _score_distinct
+from .report import _score_columns
 from .tables import ContingencyTable2x2
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -131,14 +129,6 @@ def sample_table(model: MultinomialModel, n_total: int,
     return ContingencyTable2x2(n11, n12, n21, n22)
 
 
-def _p_values(fisher: FisherResult, tests: asymptotic.Battery) -> tuple[float, ...]:
-    """Each test's p-value on one table, in TEST_NAMES order, NaN for a test
-    that refuses the table."""
-    return (fisher.left_p, fisher.right_p, fisher.two_sided_p,
-            *(math.nan if result is None else result.p_value
-              for result in (tests.pearson, tests.g2, tests.t_test)))
-
-
 def calibration(
     model: MultinomialModel,
     n_total: int,
@@ -154,12 +144,14 @@ def calibration(
     the exact test (whose p-values are 1 there) and are excluded from the
     asymptotic tallies, per each test's own error rules.
 
-    Each distinct draw is scored once (see `report._score_distinct`); the
-    draws are told apart by `np.unique`, whose inverse maps each trial to its
-    distinct draw. Each test's tally then comes from its column of p-values
-    over the trials in draw order: its valid trials are the non-NaN values,
-    and its p-value sum is the last of their `np.cumsum`, which adds left to
-    right, so it is the same float sum as scoring trial by trial.
+    Each distinct draw is scored once: the draws are told apart by
+    `np.unique`, whose inverse maps each trial to its distinct draw, and
+    their tables go to `report._score_columns`, whose first six rows (left,
+    right, two, x2, g2, t) are the p-values of the tests in TEST_NAMES
+    order. Each test's tally then comes from its row of p-values over the
+    trials in draw order: its valid trials are the non-NaN values, and its
+    p-value sum is the last of their `np.cumsum`, which adds left to right,
+    so it is the same float sum as scoring trial by trial.
     """
     _check_size("sample size", n_total)
     _check_size("trials", trials, _MAX_TRIALS)
@@ -175,13 +167,14 @@ def calibration(
     cells = np.ascontiguousarray(rng.multinomial(n_total, model.probs, size=trials)[:, :3])
     distinct, order = np.unique(cells.view(np.dtype((np.void, 3 * cells.itemsize))).ravel(),
                                 return_inverse=True)
-    tables = (ContingencyTable2x2(n11, n12, n21, n_total - n11 - n12 - n21)
-              for n11, n12, n21 in distinct.view(np.int64).reshape(-1, 3).tolist())
-    p_values = np.array([_p_values(*pair) for pair in _score_distinct(tables).values()])
+    n11, n12, n21 = distinct.view(np.int64).reshape(-1, 3).T
+    # Each marginal is at most n_total, an int64, so no sum below wraps.
+    p_values = _score_columns(n11.tolist(), (n11 + n12).tolist(), (n11 + n21).tolist(),
+                              [n_total] * len(distinct))
 
     tallies = {}
-    for name, column in zip(TEST_NAMES, p_values.T):
-        p = column[order]
+    for name, row in zip(TEST_NAMES, p_values):
+        p = row[order]
         p = p[~np.isnan(p)]
         # np.cumsum adds left to right from p[0], as TestTally.record does from 0.0: same bits.
         tallies[name] = TestTally(

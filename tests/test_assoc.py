@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactlex import (
+    ExactLexError,
     NoObservationsError,
     association_scan,
     bigram_table,
@@ -89,6 +90,18 @@ def test_scan_unknown_word_errors():
         association_scan(counts, fixed_second="zebra")
     with pytest.raises(NoObservationsError):
         association_scan(counts, fixed_first="zebra")
+
+
+@pytest.mark.parametrize("first, total", [
+    ({"a": 2}, 10),  # the pair counted more often than its first word
+    ({"a": 3}, 2),  # fewer bigrams than the pair itself
+    ({"a": 3}, 0),  # no bigrams counted
+])
+def test_scan_of_inconsistent_counts_raises_a_typed_error(first, total):
+    counts = BigramCounts(Counter({("a", "x"): 3}), Counter(first), Counter({"x": 3}), total)
+    for fixed_slot in ({"fixed_second": "x"}, {"fixed_first": "a"}):
+        with pytest.raises(ExactLexError):
+            association_scan(counts, **fixed_slot)
 
 
 def test_scan_fixed_first_mode():

@@ -1,8 +1,11 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exactlex import (
     DegenerateTableError,
@@ -20,8 +23,9 @@ from exactlex import (
     transpose,
     yates_x2,
 )
-from exactlex import asymptotic, assoc, simulate
-from exactlex.report import _score_distinct, compute_all
+from exactlex import asymptotic, assoc
+from exactlex.corpus import BigramCounts
+from exactlex.report import SCORE_ROWS, _score_columns, compute_all
 from oracles import chi_square_sf_quadrature, normal_sf_oracle
 
 TEA_PERFECT = make_table(4, 0, 0, 4)
@@ -222,15 +226,17 @@ class TestAssociationMeasures:
 
 
 def _score(table):
-    """Simulate's reading of one table's score: its p-values and degenerate flag."""
-    return simulate._p_values(*_score_distinct([table])[table.cells])
+    """What `assoc` and `simulate` read of one table: its column of `_score_columns`."""
+    return _score_columns([table.n11], [table.row1], [table.col1], [table.total])
 
 
 class TestBattery:
     @pytest.mark.parametrize("score, chi_square_tests", [
         (compute_all, 4),  # X^2, G^2, Yates and Mantel-Haenszel
-        (lambda table: assoc._record("w", table, *_score_distinct([table])[table.cells]), 2),  # X^2, G^2
-        (_score, 2),
+        (lambda table: assoc.association_scan(  # X^2, G^2, through a scan's counts
+            BigramCounts(Counter({("w", "x"): table.n11}), Counter({"w": table.row1}),
+                         Counter({"x": table.col1}), table.total), fixed_second="x", min_count=0), 2),
+        (_score, 2),  # X^2, G^2
     ])
     @pytest.mark.parametrize("cells", [(3, 1, 1, 3), (17, 229, 935, 1381647), (2, 7, 11, 40),
                                        (0, 5, 7, 30), (0, 0, 2, 3)])
@@ -278,3 +284,43 @@ class TestBattery:
         assert {"yates", "mantel_haenszel", "measures"}.isdisjoint(vars(tests))
         tests.yates
         assert {"mantel_haenszel", "measures"}.isdisjoint(vars(tests))
+
+
+@st.composite
+def _table_lists(draw):
+    """Cells of tables from up to four marginals (N, row1, col1), N from 1 to
+    past 2**63 and no support wider than 301 points. Each marginal gives
+    its support's low end, n11 = 0 where it can be, and up to three other
+    n11; some tables are then repeated, and all are shuffled."""
+    cells = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.one_of(st.integers(1, 2000), st.integers(2**63 - 2, 2**64)))
+        edge = draw(st.integers(0, min(n, 300)))
+        row1, col1 = draw(st.sampled_from((edge, n - edge))), draw(st.integers(0, n))
+        lo, hi = max(0, row1 + col1 - n), min(row1, col1)
+        for k in [lo, *draw(st.lists(st.integers(lo, hi), max_size=3))]:
+            cells.append((k, row1 - k, col1 - k, n - row1 - col1 + k))
+    return draw(st.permutations(cells + draw(st.lists(st.sampled_from(cells), max_size=4))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=_table_lists())
+@example(cells=[(0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0, 1), (0, 5, 7, 2**64), (3, 2**63, 0, 1),
+                (0, 5, 7, 2**64)])
+def test_score_columns_equal_each_table_scored_alone(cells):
+    # Every value is fisher_exact's or Battery's to the bit, and NaN lies
+    # exactly where Battery gives None.
+    tables = [make_table(*c) for c in cells]
+    columns = _score_columns(*zip(*((t.n11, t.row1, t.col1, t.total) for t in tables)))
+    assert columns.dtype == np.float64 and columns.shape == (len(SCORE_ROWS), len(tables))
+    for table, column in zip(tables, columns.T.tolist()):
+        fisher, tests = fisher_exact(table), asymptotic.Battery(table)
+        asymptotic_p = (None if r is None else r.p_value for r in (tests.pearson, tests.g2, tests.t_test))
+        want = (fisher.left_p, fisher.right_p, fisher.two_sided_p, *asymptotic_p, fisher.point_p,
+                tests.expected.m11)
+        assert [None if math.isnan(v) else v.hex() for v in column] == \
+            [None if v is None else v.hex() for v in want]
+
+
+def test_score_columns_of_no_tables():
+    assert _score_columns([], [], [], []).shape == (len(SCORE_ROWS), 0)

@@ -232,6 +232,12 @@ def test_missing_input_file_exits_1(capsys):
     ["simulate", "--p-row", "0.3", "--p-col", "0.3", "--n", "50", "--trials", "20", "--alpha", "1"],
     # A Fisher window longer than any numpy array (sigma near 10**19).
     ["test", "--n11", str(10**40), "--n12", "1", "--n21", "1", "--n22", str(10**40)],
+    # A model is given either by its marginals or by all four cells, never by both.
+    ["simulate", "--p-row", "0.5", "--p-col", "0.5", "--n", "10", "--trials", "5", "--p11", "0.1"],
+    ["simulate", "--p-row", "0.5", "--p-col", "0.5", "--p11", "0.25", "--p12", "0.25", "--p21", "0.25",
+     "--p22", "0.25", "--n", "10", "--trials", "5"],
+    ["simulate", "--p-row", "0.5", "--n", "10", "--trials", "5"],
+    ["simulate", "--p11", "0.25", "--p12", "0.25", "--p21", "0.5", "--n", "10", "--trials", "5"],
 ])
 def test_domain_errors_exit_1_with_one_line(argv, capsys):
     status, text = run(argv)
@@ -324,6 +330,23 @@ def test_sharded_corpus_output_is_golden(argv, digest, tmp_path):
     status, text = run(argv + ["--input", *paths])
     assert status == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_assoc_fixed_word_is_normalised_as_the_corpus_is(tmp_path, capsys):
+    path = tmp_path / "corpus.txt"
+    path.write_text("".join(_golden_shards()), encoding="utf-8")
+    for slot in ("--second", "--first"):
+        want = run(["assoc", "--input", str(path), slot, "tea"])
+        assert want[0] == 0 and want[1].count("\n") > 2
+        for word in ("Tea", "tea.", "«Tea»", "TEA?!"):
+            assert run(["assoc", "--input", str(path), slot, word]) == want
+    # Without lowercasing, "Tea" is a word of its own.
+    assert run(["assoc", "--input", str(path), "--lowercase", "false", "--second", "Tea"]) != \
+        run(["assoc", "--input", str(path), "--lowercase", "false", "--second", "tea"])
+    status, text = run(["assoc", "--input", str(path), "--second", "?!"])
+    err = capsys.readouterr().err
+    assert (status, text) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("exactlex: no observations")
 
 
 def test_stdin_input_matches_file_input(tmp_path, monkeypatch):
