@@ -3,15 +3,23 @@
 Covers Pearson's X^2, the likelihood-ratio G^2, the Yates continuity-adjusted
 and Mantel-Haenszel chi-square variants, the one-sample bigram t-test, and
 the special functions (chi-square and normal upper tails) that turn
-statistics into p-values. `Battery` holds every formula; the test functions
-are views of it that raise when the table refuses the test.
+statistics into p-values. `Battery` holds every formula for one table; the
+test functions are views of it that raise when the table refuses the test.
+`_battery_columns` takes Battery's expected n11 and its X^2, G^2 and t
+p-values over many tables at once, to the bit: the same float operations
+per table, mapped over columns.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import mul, sub, truediv
+
+import numpy as np
 
 from .errors import DegenerateTableError, ExactLexError, UndefinedStatisticError
 from .tables import ContingencyTable2x2, ExpectedTable, expected_counts
@@ -79,10 +87,10 @@ def chi_square_sf(x: float, df: int) -> float:
         raise ValueError(f"chi-square statistic must be nonnegative, got {x}")
     if df < 1:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
-    if x == 0:
-        return 1.0
     a = df / 2.0
     half = x / 2.0
+    if half == 0:  # x is 0, or the least subnormal, whose half rounds to 0
+        return 1.0
     if half < a + 1.0:
         return 1.0 - _lower_gamma_series(a, half)
     return _upper_gamma_cf(a, half)
@@ -108,10 +116,14 @@ class Battery:
     each a result, or None when the table refuses that test; `notes` then maps
     the test's name to the reason. The reasons are known from the table alone
     (a zero marginal, or n11 = 0), so `notes` is complete at construction.
-    The expected counts, X^2, G^2 and t, which every caller reads, are
-    computed at construction. Yates, Mantel-Haenszel and the measures, which
-    only `report.compute_all` reads, are each computed on first access, and
-    the last two build on the X^2 already taken.
+    The expected counts, X^2, G^2 and t are computed at construction.
+    Yates, Mantel-Haenszel and the measures are each computed on first
+    access, and the last two build on the X^2 already taken.
+
+    One table's callers read it: `report.compute_all` (the `test` and `tea`
+    reports) and the test functions below. Callers that score many tables
+    (`assoc`, `simulate`) read `_battery_columns` instead, which gives the
+    same bits, and whose equality tests take Battery as the reference.
     """
 
     def __init__(self, table: ContingencyTable2x2) -> None:
@@ -177,6 +189,60 @@ class Battery:
         x2 = self.pearson.statistic
         cc = math.sqrt(x2 / (x2 + t.total))
         return AssociationMeasures(phi=phi, contingency_coefficient=cc, cramers_v=phi)
+
+
+def _battery_columns(n11: Sequence[int], row1: Sequence[int], col1: Sequence[int],
+                     n_total: Sequence[int]) -> dict[str, np.ndarray]:
+    """Battery's expected n11 and its X^2, G^2 and t p-values for the tables
+    (n11, row1, col1, N), given as four equal-length sequences of Python
+    ints (so N may pass 2**63): one float64 row per name ("m11", "x2", "g2",
+    "t") with one value per table, NaN where Battery gives None.
+
+    Each value is Battery's to the bit. Its formulas are mapped over the
+    columns with Battery's float operations: the expected counts as Python's
+    correctly rounded int / int, each (n - m) ** 2 through libm's pow, one
+    `math.fsum` per table for X^2 and one for G^2, libm's log and erfc.
+    Refusals are decided from the integer marginals, and the X^2 and G^2
+    tails are `chi_square_sf`'s. A table that `ContingencyTable2x2` refuses
+    (a cell not an int, a negative cell, or no observations) is built as
+    one, so the first such raises its error.
+    """
+    n12, n21 = list(map(sub, row1, n11)), list(map(sub, col1, n11))
+    row2, col2 = list(map(sub, n_total, row1)), list(map(sub, n_total, col1))
+    cells = (n11, n12, n21, list(map(sub, row2, n21)))
+    # Nonnegative cells sum to N, so they are all zero exactly where N is.
+    if n11 and ({int} != set(map(type, chain(*cells))) or min(map(min, cells)) < 0
+                or 0 in n_total):
+        for table in zip(*cells):
+            ContingencyTable2x2(*table)
+    m11 = list(map(truediv, map(mul, row1, col1), n_total))
+    refused = np.full(len(m11), math.nan)
+    rows = {"m11": np.array(m11, dtype=np.float64), "x2": refused.copy(), "g2": refused.copy(),
+            "t": refused}
+
+    # X^2 and G^2 need four nonzero marginals. A zero cell, which Battery leaves out
+    # of G^2's sum, adds 0 * ln(1.0) = 0.0 here: that changes no rounded sum
+    # but the sign of a zero one, and max(0.0, -0.0) is 0.0.
+    live = list(map(bool, map(min, row1, row2, col1, col2)))
+    expected = [list(compress(m11, live))] + [
+        list(map(truediv, map(mul, compress(r, live), compress(c, live)), compress(n_total, live)))
+        for r, c in ((row1, col2), (row2, col1), (row2, col2))]
+    x2_terms, g2_terms = [], []
+    for n, m in zip((list(compress(cell, live)) for cell in cells), expected):
+        x2_terms.append(map(truediv, map(pow, map(sub, n, m), repeat(2)), m))
+        g2_terms.append(map(mul, n, map(math.log, [k / e if k else 1.0 for k, e in zip(n, m)])))
+    x2 = list(map(math.fsum, zip(*x2_terms)))
+    g2 = [max(0.0, 2.0 * s) for s in map(math.fsum, zip(*g2_terms))]
+    tails = list(map(chi_square_sf, x2 + g2, repeat(1)))
+    rows["x2"][live], rows["g2"][live] = tails[:len(x2)], tails[len(x2):]
+
+    # normal_sf(z) = 0.5 erfc(z / sqrt 2) of z = (n11 - m11) / sqrt(n11), where n11 > 0.
+    has_n11 = list(map(bool, n11))
+    k = list(compress(n11, has_n11))
+    z = map(truediv, map(sub, k, compress(m11, has_n11)), map(math.sqrt, k))
+    erfc = map(math.erfc, map(truediv, z, repeat(math.sqrt(2.0))))
+    rows["t"][has_n11] = 0.5 * np.array(list(erfc), dtype=np.float64)
+    return rows
 
 
 def _view(table: ContingencyTable2x2, name: str, error: type[ExactLexError]):

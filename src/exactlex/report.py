@@ -2,11 +2,12 @@
 cross-tabulation output: a frequency/expected/deviation/percent grid followed
 by the statistics list, sample size, and a small-expected-count warning.
 `_score_columns` gives the same tests' p-values over many tables, as rows
-in SCORE_ROWS order, to `assoc` and `simulate`."""
+in SCORE_ROWS order, to `assoc` and `simulate`: the report's `Battery` and
+`fisher_exact` take one table, the scorer's `asymptotic._battery_columns`
+and `exact._fisher_batch` take all of them at once, to the same bits."""
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -56,26 +57,25 @@ def _score_columns(n11: Sequence[int], row1: Sequence[int], col1: Sequence[int],
     probability and the expected n11. A test the table refuses gives NaN.
 
     Word-pair and sampled tables repeat heavily, so each distinct table is
-    validated as a `ContingencyTable2x2` and scored once, with one
-    `asymptotic.Battery`; tables with equal marginals share one enumeration:
-    every distinct marginal goes to `exact._fisher_batch` in one call, which
-    chooses how each is enumerated.
+    scored once. `asymptotic._battery_columns` validates the distinct tables
+    and takes their expected n11, X^2, G^2 and t in one call; then every
+    distinct marginal goes to `exact._fisher_batch` in one call, which
+    chooses how each is enumerated, and tables with equal marginals share
+    its enumeration.
     """
     keys = list(zip(n_total, row1, col1, n11))
-    tables: dict[tuple[int, int, int, int], ContingencyTable2x2] = {}
+    if not keys:
+        return np.empty((len(SCORE_ROWS), 0))
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    n, r1, c1, k = zip(*index)
+    rows = asymptotic._battery_columns(k, r1, c1, n)
     n11s: dict[tuple[int, int, int], list[int]] = {}
-    for n, r1, c1, k in dict.fromkeys(keys):
-        tables[n, r1, c1, k] = ContingencyTable2x2(k, r1 - k, c1 - k, n - r1 - c1 + k)
-        n11s.setdefault((n, r1, c1), []).append(k)
+    for key in index:
+        n11s.setdefault(key[:3], []).append(key[3])
     fisher = _fisher_batch(n11s)
-    scores = {}
-    for key, table in tables.items():
-        tests, exact = asymptotic.Battery(table), fisher[key]
-        scores[key] = (exact.left_p, exact.right_p, exact.two_sided_p,
-                       *(math.nan if result is None else result.p_value
-                         for result in (tests.pearson, tests.g2, tests.t_test)),
-                       exact.point_p, tests.expected.m11)
-    return np.array([scores[key] for key in keys], dtype=np.float64).reshape(-1, len(SCORE_ROWS)).T
+    rows["left"], rows["right"], rows["two"], rows["point"] = zip(*(
+        (f.left_p, f.right_p, f.two_sided_p, f.point_p) for f in map(fisher.get, index)))
+    return np.array([rows[name] for name in SCORE_ROWS], dtype=np.float64)[:, [index[key] for key in keys]]
 
 
 def _fmt(value: float, decimals: int, width: int = 10) -> str:

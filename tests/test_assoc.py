@@ -104,6 +104,20 @@ def test_scan_of_inconsistent_counts_raises_a_typed_error(first, total):
             association_scan(counts, **fixed_slot)
 
 
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("kind", [np.int64, float])
+def test_scan_of_counts_that_are_not_ints_raises_type_error(field, kind):
+    # row1 * col1 is past 2**63, where an int64 product would wrap, so a
+    # count of another type than int is refused, not scored.
+    values = [2**40, 2**61, 2**61 + 3, 2**62 + 2**41]
+    values[field] = kind(values[field])
+    n11, row1, col1, total = values
+    counts = BigramCounts(Counter({("a", "x"): n11}), Counter({"a": row1}), Counter({"x": col1}), total)
+    for fixed_slot in ({"fixed_second": "x"}, {"fixed_first": "a"}):
+        with pytest.raises(TypeError, match="must be an integer"):
+            association_scan(counts, **fixed_slot)
+
+
 def test_scan_fixed_first_mode():
     tokens = "oil price oil price oil shock gas price".split()
     records = association_scan(count_bigrams(tokens), fixed_first="oil")
@@ -226,16 +240,19 @@ def test_scan_scores_each_table_and_marginal_once(slot, fixed, min_count, monkey
     monkeypatch.setattr(exact, "_batch_pass",
                         lambda rows, n11s, results: enumerated.extend(key for key, *_ in rows)
                         or _batch_pass(rows, n11s, results))
-    monkeypatch.setattr(asymptotic, "Battery",
-                        lambda table, Battery=asymptotic.Battery: batteries.append(table.cells)
-                        or Battery(table))
+    # One columnar battery call per scan, over each distinct table once.
+    monkeypatch.setattr(asymptotic, "_battery_columns",
+                        lambda *columns, battery=asymptotic._battery_columns:
+                        batteries.append(list(zip(*columns))) or battery(*columns))
     fixed_slot = {"fixed_first": fixed} if slot == 0 else {"fixed_second": fixed}
     for scan in (1, 2):  # a second scan keeps nothing from the first
         records = association_scan(counts, min_count=min_count, **fixed_slot)
         assert len(records) == len(tables)
         assert len({id(r) for r in records}) == len(records)
         assert Counter(enumerated) == dict.fromkeys(marginals, scan)
-        assert Counter(batteries) == dict.fromkeys(distinct, scan)
+        assert len(batteries) == scan
+        assert Counter(cells for call in batteries for cells in call) == \
+            dict.fromkeys(((t.n11, t.row1, t.col1, t.total) for t in tables), scan)
 
 
 def test_scan_enumerates_each_marginal_once_as_deep_as_its_deepest_n11(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from collections import Counter
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from exactlex import (
     DegenerateTableError,
+    EmptyTableError,
+    NegativeCountError,
     UndefinedStatisticError,
     association_measures,
     chi_square_sf,
@@ -140,6 +143,7 @@ class TestSpecialFunctions:
         assert chi_square_sf(8.0, 1) == pytest.approx(0.004678, abs=5e-7)
         assert round(chi_square_sf(2.000, 1), 3) == 0.157
         assert chi_square_sf(0.0, 1) == 1.0
+        assert chi_square_sf(5e-324, 1) == 1.0  # its half rounds to 0
 
     def test_chi_square_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -241,20 +245,26 @@ class TestBattery:
     @pytest.mark.parametrize("cells", [(3, 1, 1, 3), (17, 229, 935, 1381647), (2, 7, 11, 40),
                                        (0, 5, 7, 30), (0, 0, 2, 3)])
     def test_each_caller_reads_one_battery(self, score, chi_square_tests, cells, monkeypatch):
+        # compute_all reads one Battery. assoc and simulate read one
+        # _battery_columns call over their distinct tables.
         table = make_table(*cells)
         x2 = None if min(table.row1, table.row2, table.col1, table.col2) == 0 \
             else pearson_x2(table).statistic
-        expected_calls, tails = [], []
+        expected_calls, tails, columns = [], [], []
         monkeypatch.setattr(asymptotic, "expected_counts",
                             lambda t: expected_calls.append(t) or expected_counts(t))
         monkeypatch.setattr(asymptotic, "chi_square_sf",
                             lambda x, df: tails.append(x) or chi_square_sf(x, df))
+        monkeypatch.setattr(asymptotic, "_battery_columns",
+                            lambda *c, battery=asymptotic._battery_columns:
+                            columns.append(list(zip(*c))) or battery(*c))
         score(table)
-        assert len(expected_calls) <= 1
+        # The expected counts are taken once, by Battery or in the one columnar call.
+        assert len(expected_calls) + len(columns) == 1
+        assert columns in ([], [[(table.n11, table.row1, table.col1, table.total)]])
         if x2 is None:
             assert tails == []
         else:
-            assert len(expected_calls) == 1
             assert len(tails) == chi_square_tests
             assert tails.count(x2) == 1
 
@@ -324,3 +334,46 @@ def test_score_columns_equal_each_table_scored_alone(cells):
 
 def test_score_columns_of_no_tables():
     assert _score_columns([], [], [], []).shape == (len(SCORE_ROWS), 0)
+
+
+def test_score_columns_refuse_the_first_table_the_table_type_refuses():
+    # (5, 3, 9, 10) has n12 = -2, and (0, 0, 0, 0) is empty: the first raises,
+    # with ContingencyTable2x2's own error and message.
+    with pytest.raises(NegativeCountError, match="^n12 must be nonnegative, got -2$"):
+        _score_columns([1, 5, 0], [2, 3, 0], [2, 9, 0], [10, 10, 0])
+    with pytest.raises(EmptyTableError, match="^empty table: all four cells are zero$"):
+        _score_columns([1, 0], [2, 0], [2, 0], [10, 0])
+
+
+def _seeded_tables(seed, count):
+    """`count` distinct tables (n11, row1, col1, N): N up to 2000, up to 10**9
+    and past 2**63; margins from 0 to N; n11 at its support's low end, near
+    its expected value (small X^2) or anywhere in its support."""
+    rng = random.Random(seed)
+    tables = {}
+    while len(tables) < count:
+        n = rng.choice((rng.randint(1, 2000), rng.randint(10**5, 10**9), rng.randint(2**63 - 2, 2**64)))
+        row1, col1 = (rng.choice((rng.randint(0, min(n, 300)), rng.randint(0, n))) for _ in "rc")
+        lo, hi = max(0, row1 + col1 - n), min(row1, col1)
+        near = min(hi, max(lo, row1 * col1 // n + rng.randint(-3, 3)))
+        n11 = rng.choice((lo, near, rng.randint(lo, hi)))
+        tables[n11, row1, col1, n] = None
+    return list(tables)
+
+
+def test_battery_columns_equal_battery_on_a_seeded_batch():
+    # 2,400 tables: both tails, and N past 2**63, where int64 products would wrap.
+    tables = _seeded_tables(5, 2400)
+    rows = asymptotic._battery_columns(*zip(*tables))
+    got = zip(*(rows[name].tolist() for name in ("m11", "x2", "g2", "t")))
+    statistics = []
+    for (n11, row1, col1, n), values in zip(tables, got):
+        tests = asymptotic.Battery(make_table(n11, row1 - n11, col1 - n11, n - row1 - col1 + n11))
+        want = (tests.expected.m11, *(None if r is None else r.p_value
+                                      for r in (tests.pearson, tests.g2, tests.t_test)))
+        assert [None if math.isnan(v) else v.hex() for v in values] == \
+            [None if v is None else v.hex() for v in want]
+        statistics += [r.statistic for r in (tests.pearson, tests.g2) if r is not None]
+    # Both tails (the series below x = 3, the continued fraction above), and N past 2**63.
+    assert min(statistics) < 3.0 < max(statistics)
+    assert sum(n >= 2**63 for *_, n in tables) >= 500

@@ -185,13 +185,16 @@ def test_calibration_enumerates_each_marginal_once(monkeypatch):
     monkeypatch.setattr(exact, "_batch_pass",
                         lambda rows, n11s, results, original=exact._batch_pass:
                         enumerated.extend(key for key, *_ in rows) or original(rows, n11s, results))
-    monkeypatch.setattr(asymptotic, "Battery",
-                        lambda table, Battery=asymptotic.Battery: batteries.append(table.cells)
-                        or Battery(table))
+    # One columnar battery call per run, over each distinct draw once.
+    monkeypatch.setattr(asymptotic, "_battery_columns",
+                        lambda *columns, battery=asymptotic._battery_columns:
+                        batteries.append(list(zip(*columns))) or battery(*columns))
     for run in (1, 2):  # a second run keeps nothing from the first
         result = calibration(model, n_total, trials=trials, alphas=alphas, seed=seed)
         assert Counter(enumerated) == dict.fromkeys(marginals, run)
-        assert Counter(batteries) == dict.fromkeys(distinct, run)
+        assert len(batteries) == run
+        assert Counter(cells for call in batteries for cells in call) == \
+            dict.fromkeys(((n11, n11 + n12, n11 + n21, n_total) for n11, n12, n21, _ in distinct), run)
     reference = _reference_calibration(model, n_total, trials, alphas, seed)
     assert json.dumps(result.to_dict()) == json.dumps(reference.to_dict())
 
