@@ -39,7 +39,8 @@ def _bool_flag(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true/false, got {value!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="exactlex",
         description="Exact and asymptotic association tests for word pairs.",
@@ -93,15 +94,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("tea", help="the built-in tea-tasting demo tables")
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Building the parser costs about a millisecond, most of a small `test`
-    # call. Sharing one is safe: parse_args returns a fresh namespace, and no
-    # handler mutates the default lists it may hold.
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # Building the parsers costs about a millisecond, most of a small `test`
+    # call. Sharing them is safe: parsing returns a fresh namespace, and no
+    # handler mutates the default lists they may hold. The subcommand parsers
+    # are kept so that `_parse_args` can dispatch on argv[0]. That is safe
+    # because the top-level parser has no option that takes a value: argv[0]
+    # is the subcommand whenever it names one, and the top-level pass would
+    # only hand argv[1:], `-h` and `--` included, to that subcommand's parser.
+    return _build_parsers()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)` in one argparse pass where it can be.
+
+    An argv that does not start with a subcommand, or that leaves arguments
+    the subcommand does not recognise, takes the two-level parse, so that
+    help, usage errors and exit codes keep their wording.
+    """
+    parser, subparsers = _parser()
+    if argv and argv[0] in subparsers:
+        args, extras = subparsers[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(subcommand=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def _config(args) -> TokenizerConfig:
@@ -196,17 +221,17 @@ def _cmd_count(args, out) -> int:
     if args.bigrams:
         codes, counts = corpus.bigram_types()
         first, second = np.divmod(codes, len(names))
-        keys = _ranks([name + " " for name in names])[first] * len(names) + by_name[second]
+        heads = [name + " " for name in names]
+        keys = _ranks(heads)[first] * len(names) + by_name[second]
     else:
         counts, keys = corpus.word_counts(), by_name
     order = np.argsort(keys)
     order = order[np.argsort(-counts[order], kind="stable")]
+    # Gathers and + over object arrays join the labels without a Python loop.
     if args.bigrams:
-        labels = map(" ".join, zip(map(names.__getitem__, first[order].tolist()),
-                                   map(names.__getitem__, second[order].tolist())))
+        labels = (np.array(heads, object)[first[order]] + np.array(names, object)[second[order]]).tolist()
     else:
-        labels = map(names.__getitem__, order.tolist())
-    labels = list(labels)
+        labels = np.array(names, object)[order].tolist()
     # Rows of equal count are adjacent, and each run of them is one join. No
     # count is -1, so the padded diff marks both ends as run bounds.
     counts = counts[order]
@@ -254,7 +279,7 @@ def _cmd_tea(args, out) -> int:
 
 def run_command(argv: list[str], out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     handlers = {
         "test": _cmd_test,
         "assoc": _cmd_assoc,

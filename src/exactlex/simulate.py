@@ -50,6 +50,10 @@ class MultinomialModel:
     @classmethod
     def independent(cls, p_row: float, p_col: float) -> "MultinomialModel":
         """Model with p_ij = p_i * p_j (the independence null)."""
+        # Written so that NaN fails, and checked here so that the message
+        # names the marginals given, not the cells made from them.
+        if not (0.0 <= p_row <= 1.0 and 0.0 <= p_col <= 1.0):
+            raise InvalidParameterError(f"p_row and p_col must be in [0, 1]: p_row={p_row}, p_col={p_col}")
         return cls(
             p11=p_row * p_col,
             p12=p_row * (1.0 - p_col),

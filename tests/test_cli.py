@@ -219,6 +219,7 @@ def test_missing_input_file_exits_1(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--p-row", "2", "--p-col", "0.1", "--n", "10", "--trials", "5"],
+    ["simulate", "--p-row", "1.5", "--p-col", "0.5", "--n", "10", "--trials", "5"],
     ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "-1", "--trials", "5"],
     ["simulate", "--p-row", "0.1", "--p-col", "0.1", "--n", "10", "--trials", "0"],
     ["test", "--n11", "-1", "--n12", "1", "--n21", "1", "--n22", "1"],
@@ -245,6 +246,15 @@ def test_domain_errors_exit_1_with_one_line(argv, capsys):
     assert status == 1
     assert text == ""
     assert len(err.splitlines()) == 1 and err.startswith("exactlex: ")
+
+
+def test_simulate_marginal_error_names_the_marginals_given(capsys):
+    # (1.5, 0.5) makes the cells (0.75, 0.75, -0.25, -0.25); the message must
+    # name what was passed, not those.
+    status, _ = run(["simulate", "--p-row", "1.5", "--p-col", "0.5", "--n", "10", "--trials", "5"])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert "p_row" in err and "1.5" in err and "-0.25" not in err
 
 
 def test_repeated_calls_share_no_parsed_state():
@@ -469,3 +479,53 @@ def test_fuzzed_argv_and_stdin_exit_0_1_or_2_with_one_line(subcommand, data):
         args = build_parser().parse_args(argv)
         if args.subcommand == "simulate" or getattr(args, "format", None) == "json":
             strict_json(out.getvalue())
+
+
+def _parse_outcome(parse, argv) -> tuple:
+    """Exit status, stdout, stderr and the parsed fields of one parse. The
+    fields are compared by repr, since a parsed NaN is not equal to itself."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            fields, status = repr(sorted(vars(parse(argv)).items())), 0
+        except SystemExit as exc:  # argparse: 0 after help, 2 on a usage error
+            fields, status = None, exc.code
+    return status, out.getvalue(), err.getvalue(), fields
+
+
+def _assert_one_pass_parse_is_two_level_parse(argv):
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+
+_VALID_TEST = ["test", "--n11", "1", "--n12", "1", "--n21", "1", "--n22", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    _VALID_TEST,
+    ["test", "-h"],
+    _VALID_TEST + ["--help"],
+    _VALID_TEST + ["--"],
+    ["test", "--", "--n11", "1"],
+    ["count", "--bigrams", "--", "extra"],
+    _VALID_TEST + ["--junk"],
+    _VALID_TEST + ["stray"],
+    ["tea", "--junk", "1"],
+    ["test", "--n11", "1"],  # a missing required flag
+    ["test", "--n11", "x", "--n12", "1", "--n21", "1", "--n22", "1"],  # a bad int
+    ["test", "--n1", "1"],  # an ambiguous abbreviation
+    ["assoc", "--second", "tea", "--first", "tea"],
+    ["simulate", "--p-row", "-1", "--p-col", "0.5", "--n", "10", "--trials", "5"],
+    ["frobnicate", "--n11", "1"],  # an unknown subcommand
+    ["-h"],
+    ["--junk", "test"],
+    [],
+])
+def test_one_pass_parse_equals_two_level_parse(argv):
+    _assert_one_pass_parse_is_two_level_parse(argv)
+
+
+@pytest.mark.parametrize("subcommand", sorted(_FUZZ_BASE))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_pass_parse_equals_two_level_parse_on_fuzzed_argv(subcommand, data):
+    _assert_one_pass_parse_is_two_level_parse(data.draw(_fuzz_argv(subcommand), label="argv"))

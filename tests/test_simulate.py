@@ -26,6 +26,12 @@ def test_model_validation():
         MultinomialModel(-0.1, 0.5, 0.3, 0.3)
 
 
+@pytest.mark.parametrize("p_row, p_col", [(1.5, 0.5), (math.nan, 0.5), (0.5, -0.1), (0.5, math.inf)])
+def test_independent_model_checks_its_marginals(p_row, p_col):
+    with pytest.raises(InvalidParameterError, match=r"^p_row and p_col must be in \[0, 1\]"):
+        MultinomialModel.independent(p_row, p_col)
+
+
 def test_independent_constructor():
     model = MultinomialModel.independent(0.3, 0.2)
     assert model.p11 == pytest.approx(0.06)
