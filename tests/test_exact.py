@@ -511,15 +511,16 @@ def test_batch_equals_fisher_exact_and_full_enumeration(marginals):
 
 
 def test_batch_split_into_passes_gives_the_same_results(monkeypatch):
-    # One-point supports, both edges of the width buckets and huge N, with
-    # room for only a few rows per pass.
+    # One-point supports, windows of many widths, supports of 128 points and
+    # more, and huge N, with room for only a few rows per pass.
     n11s = {}
     for n in (1, 2, 255, 10**6, 10**9, 2**63 + 1):
-        for steps in (0, 1, 2, 63, 64, 126):
+        for steps in (0, 1, 2, 63, 64, 126, 127, 400, 3000):
             if 2 * steps <= n:
                 for r1 in (steps, n - steps):
-                    lo = max(0, r1 + n // 2 - n)
-                    n11s[n, r1, n // 2] = range(lo, min(r1, n // 2) + 1)
+                    lo, hi, mode = max(0, r1 + n // 2 - n), min(r1, n // 2), _mode(n, r1, n // 2)
+                    n11s[n, r1, n // 2] = range(lo, hi + 1) if steps < 127 else \
+                        sorted({lo, hi, mode, mode + 3, (lo + mode) // 2, (mode + hi) // 2})
     whole = _fisher_batch(n11s)
     monkeypatch.setattr(exact, "_BATCH_CELLS", 300)
     assert _fisher_batch(n11s) == whole
@@ -557,6 +558,97 @@ def test_batch_routes_small_and_large_marginals_to_fisher_exacts_bits(small, lar
         for n11 in ks:
             assert results[n, r1, c1, n11] == fisher_exact(make_table(n11, r1 - n11, c1 - n11,
                                                                        n - r1 - c1 + n11))
+
+
+@given(st.lists(st.tuples(st.integers(CORE_MIN_TERMS - 1, 5 * 10**4), st.data()), min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_batch_windows_at_every_depth(marginals):
+    # Supports of 128 to 5 * 10**4 points, N up to 10**9, scored together:
+    # n11 at the mode, at both ends, 400 and 700 nats deep and past the
+    # exhaustive window's 800 nats, each as fisher_exact scores it alone.
+    n11s = {}
+    for steps, data in marginals:
+        n = data.draw(st.integers(2 * steps, 2 * steps + 10**4) | st.integers(2 * steps, 10**9))
+        c1 = data.draw(st.integers(steps, n - steps) | st.integers(n // 10, n - n // 10))
+        r1 = data.draw(st.sampled_from([steps, n - steps]))
+        full = hypergeom_distribution(n, r1, c1)
+        mode = _mode(n, r1, c1)
+        ks = {full.support_lo, full.support_hi, mode}
+        for nats in (400, 700, 850):
+            ks.update(_n11_at_depth(full, mode, nats))
+        n11s[n, r1, c1] = sorted(ks)
+    assert _fisher_batch(n11s) == _batch_reference(n11s)
+
+
+def _batch_reference(n11s):
+    """fisher_exact at each n11 of each marginal, keyed as `_fisher_batch` keys it."""
+    return {(n, r1, c1, n11): fisher_exact(make_table(n11, r1 - n11, c1 - n11, n - r1 - c1 + n11))
+            for (n, r1, c1), ks in n11s.items() for n11 in ks}
+
+
+def _wide_n11s():
+    """Marginals of 128 to 3 * 10**4 points, each with its mode, both ends of
+    its support, the n11 300 nats deep on each side and a few n11 between."""
+    rng = random.Random(19)
+    n11s = {}
+    for _ in range(30):
+        n = rng.choice([rng.randint(300, 10**6), rng.randint(10**6, 10**9)])
+        steps = rng.randint(CORE_MIN_TERMS, min(n // 2, 3 * 10**4))
+        c1 = rng.randint(steps, n - steps)
+        r1 = rng.choice([steps, n - steps])
+        full = hypergeom_distribution(n, r1, c1)
+        lo, hi, mode = full.support_lo, full.support_hi, _mode(n, r1, c1)
+        n11s[n, r1, c1] = sorted({lo, hi, mode, rng.randint(lo, hi), min(hi, mode + 3), max(lo, mode - 7),
+                                  *_n11_at_depth(full, mode, 300)})
+    return n11s
+
+
+def test_batch_second_pass_and_fallback_give_the_same_results(monkeypatch):
+    # Forced second passes and single-table fallbacks give the dict of the
+    # unforced batch, which is fisher_exact's.
+    n11s = _wide_n11s()
+    expected = _fisher_batch(n11s)
+    assert expected == _batch_reference(n11s)
+    passes, alone = [], []
+    batch_pass, fisher_each, bracket = exact._batch_pass, exact._fisher_each, exact._bracket
+    monkeypatch.setattr(exact, "_batch_pass", lambda rows, n11s, results: passes.extend(
+        row[6] for row in rows) or batch_pass(rows, n11s, results))
+    monkeypatch.setattr(exact, "_fisher_each", lambda key, ks, results: alone.append(key)
+                        or fisher_each(key, ks, results))
+
+    # Windows placed for the mode alone leave the n11 300 nats deep past
+    # them, not surely 0.0: those marginals are widened to WINDOW_NATS.
+    monkeypatch.setattr(exact, "_bracket", lambda marginals: bracket(
+        [(key, lo, hi, mode, [mode]) for key, lo, hi, mode, _ in marginals]))
+    assert _fisher_batch(n11s) == expected
+    assert passes.count(True) >= sum(len(ks) > 6 for ks in n11s.values()) > 0 and not alone
+    # Every first window one point, the mode: each is widened by the falls
+    # past its edges and scored in a second pass.
+    passes.clear()
+    monkeypatch.setattr(exact, "_bracket", lambda marginals: [(key, lo, hi, mode, mode, mode, False)
+                                                              for key, lo, hi, mode, _ in marginals])
+    assert _fisher_batch(n11s) == expected
+    assert passes.count(True) == len(n11s) and not alone
+    # With no widening either, each marginal takes the single-table path.
+    monkeypatch.setattr(exact, "_widen", lambda missing, fall: np.zeros_like(missing))
+    assert _fisher_batch(n11s) == expected
+    assert sorted(alone) == sorted(n11s)
+
+
+def test_batch_takes_modes_past_2_52_to_the_single_table_path(monkeypatch):
+    # A mode more than 2**52 above its support's low end cannot anchor the
+    # batch's float offsets, so that marginal takes the single-table path;
+    # past 2**53 and 2**63 the others are batched all the same.
+    n11s = {(2**200, 2**60, 2**200 - 2**60): [2**60 - 3, 2**60 - 1, 2**60],
+            (2**54 + 7, 300, 2**53): [0, 150, 170, 300],
+            (2**63 + 11, 300, 2**62): [0, 75, 150, 300],
+            (2**130, 2**64, 2**64): [0, 1, 3]}
+    alone = []
+    fisher_each = exact._fisher_each
+    monkeypatch.setattr(exact, "_fisher_each", lambda key, ks, results: alone.append(key)
+                        or fisher_each(key, ks, results))
+    assert _fisher_batch(n11s) == _batch_reference(n11s)
+    assert alone == [(2**200, 2**60, 2**200 - 2**60)]
 
 
 @given(st.integers(1, 40), st.integers(0, 300), st.integers(0, 2**32 - 1))

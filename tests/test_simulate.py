@@ -128,12 +128,15 @@ def test_negative_seed_is_rejected_before_any_draw(monkeypatch):
 
 
 def test_windowed_cache_matches_full_support(monkeypatch):
-    # Supports of about 240 whose windows end short of the upper end.
+    # Supports of about 240 whose windows end short of the upper end, both
+    # in the batch and on their own.
     model = MultinomialModel.independent(0.03, 0.03)
     assert exact._fisher_distribution(8000, 240, 240).support_hi < 240
+    assert exact._bracket([((8000, 240, 240), 0, 240, 7, [7])])[0][5] < 240
     windowed = calibration(model, 8000, trials=10_000, seed=5).to_dict()
-    monkeypatch.setattr(exact, "_fisher_distribution",
-                        lambda n, r1, c1, n11s=None: hypergeom_distribution(n, r1, c1))
+    monkeypatch.setattr("exactlex.report._fisher_batch",
+                        lambda n11s: {(*key, n11): exact.fisher_from_dist(hypergeom_distribution(*key), n11)
+                                      for key, ks in n11s.items() for n11 in ks})
     assert calibration(model, 8000, trials=10_000, seed=5).to_dict() == windowed
 
 
