@@ -39,13 +39,23 @@ def _bool_flag(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true/false, got {value!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """The top-level parser. It drops a final bare `--`: that conventionally
+    ends the options, but no subcommand takes a positional argument to
+    follow it, so argparse would refuse it as unrecognized."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args[:-1] if args[-1:] == ["--"] else args, namespace)
+
+
 def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser, and each subcommand's parser by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="exactlex",
         description="Exact and asymptotic association tests for word pairs.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=argparse.ArgumentParser)
 
     def add_tokenizer_flags(p):
         p.add_argument("--lowercase", type=_bool_flag, default=True)
@@ -118,7 +128,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
     An argv that does not start with a subcommand, or that leaves arguments
     the subcommand does not recognise, takes the two-level parse, so that
-    help, usage errors and exit codes keep their wording.
+    help, usage errors and exit codes keep their wording. A final bare `--`
+    is left over by the subcommand's parser, so it takes the two-level
+    parse, whose top-level parser drops it.
     """
     parser, subparsers = _parser()
     if argv and argv[0] in subparsers:

@@ -13,10 +13,11 @@ instead of O(support). Every range takes its step ratios from one function,
 them outward from the mode, so each term inside the window is the same float
 as in the full enumeration. Every sum is the correctly rounded `math.fsum` of
 the whole support's terms, so the p-values are bit-identical to full
-enumeration. fsum is fed only a sum's core, the terms within 2**-80 of its
-largest. One bound covers the rest, including (support points past each
-window edge) x (edge term), and equal rounded sums with and without it show
-that the rest cannot change the result.
+enumeration. fsum is fed one by one only a sum's terms within FEED_REL
+(2**-26) of its largest. The others enter as their float sum from numpy,
+within a bound on its rounding error, and the terms past each window edge
+as (support points past it) x (edge term); equal rounded sums at both ends
+of those bounds show that they cannot change the result.
 
 So a window reaches only CORE_NATS plus the log of the support size below
 the smallest term its sums lean on: the mode's, and the observed n11's on
@@ -25,23 +26,25 @@ both sides of the mode. WINDOW_NATS caps the depth: past it every term is
 window cannot certify is taken again on that exhaustive window.
 
 A support of fewer than CORE_MIN_TERMS points is enumerated whole, with no
-window and no lgamma call. `_fisher_batch` scores many marginals at once and
-is the one place that chooses how each is enumerated. Every marginal's
-window, the whole support when it is short, goes through 2D numpy passes
-over rows of similar width, which take every row's steps from `_log_steps`
-as `_enumerate` does, so their p-values are the same bits. The windows of
-larger supports are placed without lgamma, from sigma and bounds on the
-steps, and checked against the depth rule on the enumerated terms; each sum
-feeds fsum only its terms within 2**-26 of its largest and adds the float
-sum of the others within a bound on its rounding error. A row those passes
-cannot settle, and a mode more than 2**52 above its support's low end, takes
-the single-table path, which `test` takes too.
+window and no lgamma call. A single table's window edges start where a
+normal log-pmf with the hypergeometric sigma is deep enough, and gallop
+outward until the lgamma ratio to the mode says they are.
+
+`_fisher_batch` scores many marginals at once and is the one place that
+chooses how each is enumerated. Every marginal's window, the whole support
+when it is short, goes through 2D numpy passes over rows of similar width,
+which take every row's steps from `_log_steps` as `_enumerate` does, so
+their p-values are the same bits. The windows of larger supports are placed
+without lgamma, from sigma and bounds on the steps, and every window is
+checked against the depth rule on the enumerated terms; its sums are
+certified as the single-table path's are. A row those passes cannot settle,
+and a mode more than 2**52 above its support's low end, takes the
+single-table path, which `test` takes too.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -60,22 +63,20 @@ TWO_SIDED_TIE_REL_TOL = 1e-7
 # exactly nothing to any sum.
 WINDOW_NATS = 800.0
 
-# A window sum feeds fsum only its core, from the first to the last term at
-# least this fraction of the largest. The rest enter as one bound on their
-# total, under 2 * count * 2**-80 of the sum, or 2**-26 * count of its ulp;
-# only when the core's sum lies that close below a rounding boundary is the
-# whole window summed, or a window with terms beyond it deepened.
+# The terms past a window's edges total at most this fraction of the
+# smallest term its sums lean on, far below an ulp of any of those sums, so
+# that their bound seldom leaves a sum uncertain.
 CORE_REL = 2.0**-80
-# A shorter window is summed whole: fsum spends about 50 ns a term on it,
-# less than the numpy calls that find a core (about 4 us).
+# A shorter window feeds fsum every term: fsum spends about 50 ns a term on
+# it, less than the numpy calls that find the terms to feed (about 4 us).
 CORE_MIN_TERMS = 128
-# `_fisher_batch` feeds fsum one by one only the terms at least this
-# fraction of a sum's term nearest the mode, and adds the others' float sum
-# within a bound on its rounding error.
+# A window sum feeds fsum one by one only the terms at least this fraction
+# of its largest (in `_fisher_batch`, of its term nearest the mode), and
+# adds the others' float sum within a bound on its rounding error.
 FEED_REL = 2.0**-26
 # A window reaches this far, plus the log of the support size, below the
 # smallest term its sums lean on: then (points beyond an edge) x (edge term)
-# is under one core floor.
+# is under CORE_REL of that term.
 CORE_NATS = -math.log(CORE_REL)
 # Edges aim this much deeper than the check on the enumerated terms asks:
 # they are placed on a log-pmf ratio accurate to a few hundredths of a nat.
@@ -251,36 +252,50 @@ def _fsum_window(terms: np.ndarray, mi: int, beyond: float = 0.0) -> float | Non
     terms that total at most `beyond`, to the bit, without feeding fsum the
     terms far below the largest; None when that sum is not certain.
 
-    The core runs from the first term >= floor = CORE_REL * max to the last;
-    a window under CORE_MIN_TERMS is all core. Every other term is below
-    floor, so the exact total of all terms outside the core is below
-    count * floor + beyond, and so below the float rest =
-    2 * (count * floor + beyond), however that rounds. Correct rounding is
-    monotone, so fsum(core) <= the whole sum <= fsum(core + [rest]), and when
-    the two ends are equal they are the sum. Otherwise, with nothing beyond,
-    the whole window is summed, as `_fsum_outward(terms.tolist(), mi)`; with
-    terms beyond, the sum is not certain, and the caller deepens its window.
+    fsum is fed, in the outward order of `_fsum_outward`, the terms from the
+    first >= FEED_REL * max to the last; a window under CORE_MIN_TERMS is fed
+    whole. The others enter as their float sum from numpy, within a slack of
+    2**-51 * (count + 2) of it, which bounds its rounding error in any order
+    of addition, and the terms beyond as twice `beyond`; `_certified_fsum`
+    takes the sum between those ends. When the ends round apart: with
+    nothing beyond, the whole window is summed, as
+    `_fsum_outward(terms.tolist(), mi)`; with terms beyond, the sum is not
+    certain, and the caller deepens its window.
     """
     size = len(terms)
-    a, b, floor = 0, size, 0.0
+    low = slack = 0.0
     if size >= CORE_MIN_TERMS:
         # The outward order built in numpy, then one tolist: cheaper than
-        # slicing and reversing the list once the core is long.
-        floor = CORE_REL * float(terms.max())
-        above = terms >= floor
+        # slicing and reversing the list once the fed run is long.
+        above = terms >= FEED_REL * float(terms.max())
         a, b = int(above.argmax()), size - int(above[::-1].argmax())
         m = min(max(mi, a), b - 1)
         fed = np.concatenate((terms[m:b], terms[a:m][::-1])).tolist()
+        if b - a < size:
+            low = float(terms[:a].sum()) + float(terms[b:].sum())
+            slack = 2.0**-51 * (size - (b - a) + 2) * low
     else:
-        core = terms.tolist()
+        values = terms.tolist()
         m = min(mi, size - 1)
-        fed = core[m:] + core[:m][::-1]
+        fed = values[m:] + values[:m][::-1]
+    total = _certified_fsum(fed, low - slack, low + slack + 2.0 * beyond)
+    if total is None and not beyond:
+        return _fsum_outward(terms.tolist(), mi)
+    return total
+
+
+def _certified_fsum(fed: list[float], least: float, most: float) -> float | None:
+    """The correctly rounded sum of `fed` and of one more term known only to
+    lie in [least, most], or None when that is not certain; `fed` gets the
+    term appended. Correct rounding is monotone, so fsum with the low end <=
+    the sum <= fsum with the high end, and when the two are equal they are
+    the sum."""
+    fed.append(least)
     total = math.fsum(fed)
-    rest = 2.0 * ((size - (b - a)) * floor + beyond)
-    if rest:
-        fed.append(rest)
+    if most != least:
+        fed[-1] = most
         if math.fsum(fed) != total:
-            return None if beyond else _fsum_outward(terms.tolist(), mi)
+            return None
     return total
 
 
@@ -308,24 +323,27 @@ def _fisher_distribution(n_total: int, row1_total: int, col1_total: int,
     Depth: the largest term each sum adds is the mode's for the normaliser
     and n11's for its tails and, on the far side of the mode, for the
     two-sided sum. Each edge lies CORE_NATS + log(support size) below the
-    smallest of those, so (points beyond) x (edge term) stays under one core
-    floor of every sum (see `_fsum_window`). The depth is capped at
-    WINDOW_NATS, and a support whose both ends lie within WINDOW_NATS is
-    enumerated whole, as with no n11s. So is a support of fewer than
-    CORE_MIN_TERMS points, before any lgamma call: no window would save its
-    cost.
+    smallest of those, so (points beyond) x (edge term) stays under CORE_REL
+    of every sum's largest term (see `_fsum_window`). The depth is capped at
+    WINDOW_NATS. A support of fewer than CORE_MIN_TERMS points is enumerated
+    whole, before any lgamma call: no window would save its cost.
 
-    Each edge starts at the first n11 that deep, or at the end of the
-    support, placed by `bisect_left` between the mode and that end on the
-    log-pmf ratio to the mode, concave in n11, aimed SEED_NATS deeper. The
-    window is then checked on the enumerated terms: a running sum only falls
-    away from the mode, so once an edge is deep enough, so is every term
-    beyond it. A window that fails the check, leaves out an n11 or cannot
-    certify its normaliser gives way to the exhaustive window, and an
-    exhaustive window that fails it to the whole support, which leaves
-    nothing out. Each bisection spans at most _MAX_TERMS points from the
-    mode, so a support wider than a C ssize_t still gets its window, and a
-    window that needs more is refused by `_enumerate`.
+    Each edge starts at mode +- (ceil(sigma * sqrt(2 * nats)) + 1), where a
+    normal log-pmf with the hypergeometric sigma lies `nats` deep, aimed
+    SEED_NATS deeper than the rule. Where the log-pmf ratio to the mode says
+    it is not that deep yet, the edge gallops outward by (missing nats) /
+    (fall of the step past it): the log-pmf is concave, so no later step
+    falls less. Once deep enough, it steps back by (nats to spare) / (fall
+    of the step into it), as no step nearer the mode falls more, so that it
+    lies about where the first n11 that deep does: a window takes about 20
+    lgamma calls in all. Each edge reaches at most _MAX_TERMS points from
+    the mode, so a support wider than a C ssize_t still gets its window, and
+    a window that needs more is refused by `_enumerate`. The window is then
+    checked on the enumerated terms: a running sum only falls away from the
+    mode, so once an edge is deep enough, so is every term beyond it. A
+    window that fails the check, leaves out an n11 or cannot certify its
+    normaliser gives way to the exhaustive window, and an exhaustive window
+    that fails it to the whole support, which leaves nothing out.
     """
     lo, hi = _support(n_total, row1_total, col1_total)
     if hi - lo + 1 < CORE_MIN_TERMS:
@@ -349,16 +367,40 @@ def _fisher_distribution(n_total: int, row1_total: int, col1_total: int,
                  + _log_gamma_ratio(col1_total - mode + 1, col1_total - k + 1)
                  + _log_gamma_ratio(n22_base + mode + 1, n22_base + k + 1))
 
-    rel_lo, rel_hi = log_rel(lo), log_rel(hi)
     depth = CORE_NATS + math.log(hi - lo + 1)
-    nats = WINDOW_NATS
-    if n11s is not None and min(rel_lo, rel_hi) < -WINDOW_NATS:
-        nats = min(WINDOW_NATS, depth + SEED_NATS - min(0.0, *map(log_rel, n11s)))
-    left, right = range(lo, mode)[-_MAX_TERMS:], range(mode, hi)[:_MAX_TERMS]
-    a = lo if rel_lo >= -nats else (
-        left.start - 1 + bisect_left(left, True, key=lambda k: log_rel(k) >= -nats))
-    b = hi if rel_hi >= -nats else (
-        mode + bisect_left(right, True, key=lambda k: log_rel(k) < -nats))
+    nats = WINDOW_NATS if n11s is None else min(
+        WINDOW_NATS, depth + SEED_NATS - min(0.0, *map(log_rel, n11s)))
+    variance = (row1_total * (n_total - row1_total) / n_total
+                * (col1_total * (n_total - col1_total) / (n_total * (n_total - 1))))
+    seed = math.ceil(math.sqrt(variance * 2.0 * nats)) + 1
+
+    def fall(k: int, sign: int) -> float:
+        # How far the log-pmf falls from k to k + sign, away from the mode.
+        j = k if sign > 0 else k - 1  # the step between j and j + 1
+        return sign * (math.log((j + 1) * (n22_base + j + 1))
+                       - math.log((row1_total - j) * (col1_total - j)))
+
+    def reach(sign: int, room: int) -> int:
+        # How far the edge on the side `sign` of the mode lies from it.
+        points = min(room, seed)
+        while points:
+            k = mode + sign * points
+            missing = nats + log_rel(k)
+            if missing < 0.0:
+                # Deep enough: step back as far as the fall of the step into
+                # k, the largest of those stepped back over, keeps it so.
+                inward = fall(k - sign, sign)
+                back = -missing / inward if inward > 0.0 else 0.0
+                return points - (points if back >= points else math.floor(back))
+            if points == room:
+                break
+            outward = fall(k, sign)
+            more = missing / outward if outward > 0.0 else math.inf
+            points = room if more >= room - points else min(room, points + math.ceil(more) + 1)
+        return points
+
+    a = mode - reach(-1, min(mode - lo, _MAX_TERMS))
+    b = mode + reach(1, min(hi - mode, _MAX_TERMS))
     dist = _enumerate(n_total, row1_total, col1_total, a, b, a - lo, hi - b)
     shallow = nats < WINDOW_NATS
     if dist is not None and (not shallow or a <= min(n11s) <= max(n11s) <= b):
@@ -402,10 +444,23 @@ def fisher_from_dist(dist: HypergeomDist, n11: int) -> FisherResult:
     if lo <= n11 <= hi:
         idx = n11 - lo
         point = float(pmf[idx])
-        cutoff = dist.log_pmf[idx] + math.log1p(TWO_SIDED_TIE_REL_TOL)
+        # The two-sided sum takes the terms at most the cutoff. The log-pmf
+        # falls on each side of the mode, so they are a prefix and a suffix
+        # of the window, summed without the terms between; where rounding
+        # next to a tied mode breaks that fall, the window is summed with
+        # those terms zeroed.
+        high = dist.log_pmf > dist.log_pmf[idx] + math.log1p(TWO_SIDED_TIE_REL_TOL)
+        i = int(high.argmax())
+        j = i + int(np.count_nonzero(high))
+        if i == j:
+            two, start = pmf, mi
+        elif high[i:j].all():
+            two, start = np.concatenate((pmf[:i], pmf[j:])), i
+        else:
+            two, start = np.where(high, 0.0, pmf), mi
         sums = (_fsum_window(pmf[: idx + 1], min(mi, idx), below),
                 _fsum_window(pmf[idx:], max(0, mi - idx), above),
-                _fsum_window(pmf * (dist.log_pmf <= cutoff), mi, below + above))
+                _fsum_window(two, start, below + above))
     else:
         point, whole = 0.0, _fsum_window(pmf, mi, below + above)
         sums = (0.0, whole, 0.0) if n11 < lo else (whole, 0.0, 0.0)
@@ -588,9 +643,9 @@ def _range_sums(window: np.ndarray, right: int, length: np.ndarray, at: np.ndarr
     2**-51 * (terms past the cut + 2) of their sums from the cut, which
     bounds the rounding errors of the suffix sums, their differences and
     the slack. The sum lies between fsum with the low end of that and fsum
-    with the high end plus `rest`, and is certain when the two agree, as in
-    `_fsum_window`. Any cut gives the same sums; one past which the terms
-    lie far below the sum's ulp leaves the slack too small to matter.
+    with the high end plus `rest`, and is certain when the two agree
+    (`_certified_fsum`). Any cut gives the same sums; one past which the
+    terms lie far below the sum's ulp leaves the slack too small to matter.
     """
     end = np.maximum(end, start)
     cut = np.minimum(np.maximum(cut, start), end)
@@ -600,8 +655,9 @@ def _range_sums(window: np.ndarray, right: int, length: np.ndarray, at: np.ndarr
         count = cut[:, k] - start[:, k]
         stop = np.cumsum(count)
         first = stop - count
-        col = np.arange(int(stop[-1]) if len(stop) else 0) + np.repeat(start[:, k] + base - first, count)
-        fed.append(window[np.repeat(at, count), col].tolist())
+        # Only the gathered terms outlive the gather while tolist runs.
+        fed.append(window[np.repeat(at, count), np.arange(int(stop[-1]) if len(stop) else 0)
+                          + np.repeat(start[:, k] + base - first, count)].tolist())
         bounds += [first.tolist(), stop.tolist()]
     low, bound = np.zeros(len(at)), np.zeros(len(at))
     for k, side in enumerate((window[:, : right + 1], window[:, right + 1 :])):
@@ -616,13 +672,7 @@ def _range_sums(window: np.ndarray, right: int, length: np.ndarray, at: np.ndarr
     right_fed, left_fed = fed
     for a, b, c, d, least, most in zip(*bounds, (low - slack).tolist(), (low + slack + rest).tolist()):
         core = right_fed[a:b] + left_fed[c:d] if c < d else right_fed[a:b]
-        core.append(least)
-        total = math.fsum(core)
-        if most != least:
-            core[-1] = most
-            if math.fsum(core) != total:
-                total = None
-        sums.append(total)
+        sums.append(_certified_fsum(core, least, most))
     return sums
 
 
@@ -667,16 +717,22 @@ def _batch_pass(rows: list[tuple], n11s: dict[tuple[int, int, int], Sequence[int
     j = np.concatenate((mi + t[:wr], mi - 1.0 - t[:wl]), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # a one-point support has no step to take
         steps = _log_steps(consts[:, :, None], np.minimum(np.maximum(j, 0.0, out=j), last, out=j))
+    # Each (rows) x (columns) array is dropped once no later step reads it,
+    # which bounds the memory a pass holds at a few of them.
+    del j
     steps[:, wr:] *= -1.0
-    offset = np.concatenate(([0.0], t[:wr] + 1.0, -1.0 - t[:wl]))
-    valid = (offset >= -reach[:, :1]) & (offset <= reach[:, 1:])
-    steps[~valid[:, 1:]] = -np.inf
+    offset = np.concatenate((t[:wr] + 1.0, -1.0 - t[:wl]))
+    steps[(offset < -reach[:, :1]) | (offset > reach[:, 1:])] = -np.inf
     unnorm = np.empty((n, 1 + wr + wl))
     unnorm[:, 0] = 0.0
     np.cumsum(steps[:, :wr], axis=1, out=unnorm[:, 1 : wr + 1])
     np.cumsum(steps[:, wr:], axis=1, out=unnorm[:, wr + 1 :])
+    del steps
     peaks = unnorm.max(axis=1)
     rel = unnorm - peaks[:, None]
+    # Whether right column 1 lies above the mode (see the two-sided sums).
+    bump = min(1, wr)
+    rises = rel[:, bump] > rel[:, 0]
     rows_at = np.arange(n)[:, None]
     edge_col = np.where(reach > 0.0, reach + [[wr, 0]], 0.0).astype(np.intp)
 
@@ -733,8 +789,8 @@ def _batch_pass(rows: list[tuple], n11s: dict[tuple[int, int, int], Sequence[int
             q_off, q_col, outside = q_off[keep], q_col[keep], outside[keep]
             q_keys = [k for k, kept in zip(q_keys, keep.tolist()) if kept]
             keys = [k for k, kept in zip(keys, ok.tolist()) if kept]
-            unnorm, peaks, rel, valid, edge_col, beyond, reach = (
-                x[ok] for x in (unnorm, peaks, rel, valid, edge_col, beyond, reach))
+            unnorm, peaks, rel, rises, edge_col, beyond, reach = (
+                x[ok] for x in (unnorm, peaks, rel, rises, edge_col, beyond, reach))
             rows_at = rows_at[: len(keys)]
     # Each sum covers a column range of each side of its row (see
     # `_range_sums`); its terms before the cut, at least FEED_REL times its
@@ -746,11 +802,14 @@ def _batch_pass(rows: list[tuple], n11s: dict[tuple[int, int, int], Sequence[int
     feed = np.where(whole, 0.0, FEED_REL)
 
     terms = np.exp(rel)
+    del rel
     norms = _range_sums(terms, wr, length, np.arange(len(keys)), np.zeros_like(length),
                         _side_counts(terms >= feed[:, None], wr), length,
                         2.0 * (beyond * terms[rows_at, edge_col]).sum(axis=1))
+    del terms
     log_norm = np.array([peak + math.log(z) if z else 0.0 for peak, z in zip(peaks.tolist(), norms)])
     log_pmf = unnorm - log_norm[:, None]
+    del unnorm
     pmf = np.exp(log_pmf)
 
     # An n11 at offset d >= 0 is right column d, and at d < 0 left column
@@ -769,13 +828,13 @@ def _batch_pass(rows: list[tuple], n11s: dict[tuple[int, int, int], Sequence[int
     lp = log_pmf[q_row]
     high = lp > cutoff[:, None]
     two = _side_counts(high, wr)
-    bump = min(1, wr)
-    unsure = ((rel[q_row, bump] > rel[q_row, 0]) & (log_pmf[q_row, 0] <= cutoff)
-              & (cutoff < log_pmf[q_row, bump]))
+    del high
+    unsure = rises[q_row] & (log_pmf[q_row, 0] <= cutoff) & (cutoff < log_pmf[q_row, bump])
     # The columns of each side at least FEED_REL of the n11's term, which
     # the near tail and the two-sided sum feed one by one.
     cut_r, cut_l = _side_counts(lp >= np.where(whole[q_row] | outside, -np.inf,
                                                cutoff + math.log(FEED_REL))[:, None], wr).T
+    del lp, log_pmf
     near = np.where(pos, cut_r, cut_l)
 
     # Per query, the left tail's (right side, left side), the right tail's,

@@ -519,6 +519,10 @@ _VALID_TEST = ["test", "--n11", "1", "--n12", "1", "--n21", "1", "--n22", "1"]
     ["-h"],
     ["--junk", "test"],
     [],
+    ["--"],
+    ["tea", "--"],
+    ["count", "--input", "--"],
+    _VALID_TEST + ["--", "--"],
 ])
 def test_one_pass_parse_equals_two_level_parse(argv):
     _assert_one_pass_parse_is_two_level_parse(argv)
@@ -529,3 +533,42 @@ def test_one_pass_parse_equals_two_level_parse(argv):
 @given(data=st.data())
 def test_one_pass_parse_equals_two_level_parse_on_fuzzed_argv(subcommand, data):
     _assert_one_pass_parse_is_two_level_parse(data.draw(_fuzz_argv(subcommand), label="argv"))
+
+
+@pytest.mark.parametrize("argv", [
+    _VALID_TEST,
+    _VALID_TEST[:-1] + ["2", "--format", "json"],
+    ["tea"],
+    ["simulate", "--p-row", "0.3", "--p-col", "0.4", "--n", "20", "--trials", "5", "--seed", "2"],
+    ["count", "--bigrams", "--input", "CORPUS"],
+    ["zipf", "--format", "tsv", "--input", "CORPUS"],
+    ["assoc", "--second", "tea", "--input", "CORPUS"],
+])
+def test_final_double_dash_gives_the_same_output(argv, tmp_path):
+    # A final bare `--` ends the options; nothing follows it.
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("strong tea. black tea. strong coffee.\n", encoding="utf-8")
+    argv = [str(corpus) if arg == "CORPUS" else arg for arg in argv]
+    status, text = run(argv)
+    assert status == 0 and text
+    assert run(argv + ["--"]) == (status, text)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["test"],
+    ["count", "--input"],
+    ["assoc", "--second"],
+    _VALID_TEST + ["--junk"],
+    ["frobnicate"],
+])
+def test_final_double_dash_keeps_each_usage_error(argv):
+    # `exactlex --` and `count --input --` among them: the same exit code
+    # and wording as without the `--`.
+    outcome = _parse_outcome(cli._parse_args, argv + ["--"])
+    assert outcome[0] == 2 and outcome == _parse_outcome(cli._parse_args, argv)
+
+
+def test_only_one_final_double_dash_is_accepted():
+    status, _, err, _ = _parse_outcome(cli._parse_args, _VALID_TEST + ["--", "--"])
+    assert status == 2 and err.endswith("exactlex: error: unrecognized arguments: --\n")

@@ -19,8 +19,11 @@ from exactlex.exact import (
     CORE_MIN_TERMS,
     CORE_NATS,
     CORE_REL,
+    FEED_REL,
+    STIRLING_MIN,
     TWO_SIDED_TIE_REL_TOL,
     WINDOW_NATS,
+    HypergeomDist,
     _fisher_batch,
     _fisher_distribution,
     _fsum_window,
@@ -262,10 +265,12 @@ def test_windowed_fisher_at_the_window_edges():
 
 
 def test_window_placed_too_narrow_is_widened(monkeypatch):
-    # A tenfold lgamma puts the bisected edges only about 80 nats below the
-    # peak. The check on the enumerated terms refuses both the shallow
-    # window an n11 asks for and the exhaustive window, so each gives way to
-    # the whole support.
+    # A tenfold lgamma makes every sigma-seeded edge look deep enough at
+    # once, so none gallops outward. On the right, where this log-pmf falls
+    # more slowly than a normal one with the same sigma, the seeds lie only
+    # about 70 nats (the n11's window) and 690 nats (the exhaustive one)
+    # below the peak. The check on the enumerated terms refuses both, so
+    # each gives way to the whole support.
     n, r1, c1 = 10**7, 10**5, 4 * 10**5
     placed = _fisher_distribution(n, r1, c1)
     lgamma = math.lgamma
@@ -349,9 +354,10 @@ def test_fsum_window_with_zeros_subnormals_and_wide_range():
 
 
 def test_fsum_window_falls_back_when_the_core_sum_is_a_tie():
-    # The core [1, 2**-53] sums to a tie that rounds to even, 1.0; the terms
-    # below the core tip the whole sum up to 1 + 2**-52, so the bound cannot
-    # confirm the core's sum and the whole window is summed.
+    # [1, 2**-53] sums to a tie that rounds to even, 1.0; the terms below it
+    # tip the whole sum up to 1 + 2**-52. 2**-53 lies below the FEED_REL
+    # cut, so it enters with them as their float sum, and the certificate
+    # confirms the sum they tip up.
     pad = CORE_MIN_TERMS
     values = [1e-30] * pad + [1.0, 2**-53]
     assert math.fsum(values[pad:]) == 1.0
@@ -362,6 +368,63 @@ def test_fsum_window_whose_core_is_the_whole_window():
     terms = np.linspace(1.0, 2.0, 3 * CORE_MIN_TERMS) ** 3
     assert np.all(terms >= CORE_REL * terms.max())
     assert _fsum_window(terms, 5) == math.fsum(terms.tolist())
+
+
+def _fed_tie(below):
+    """Window terms whose fed run, [1, 2**-26 + 2**-53 - 2**-60], sums to
+    2**-60 below the tie between 1 + 2**-26 and the next float up, with the
+    terms `below` FEED_REL after it, padded with zeros to CORE_MIN_TERMS."""
+    values = [1.0, 2**-26 + 2**-53 - 2**-60, *below]
+    assert min(values[:2]) >= FEED_REL and max(below) < FEED_REL
+    return values + [0.0] * (CORE_MIN_TERMS - len(values))
+
+
+def test_fsum_window_adds_the_terms_below_feed_rel():
+    # The terms below the cut, 2**-59 in all, carry the sum past the tie:
+    # the fed run alone rounds down, and the whole window up.
+    values = _fed_tie([2**-66] * 128)
+    assert math.fsum(values[:2]) == 1.0 + 2**-26
+    assert _fsum_window(np.array(values), 0) == math.fsum(values) == 1.0 + 2**-26 + 2**-52
+    assert _fsum_window(np.array(values), 0, 1e-300) == math.fsum(values)
+
+
+def test_fsum_window_falls_back_when_the_terms_below_feed_rel_make_a_tie(monkeypatch):
+    # The terms below the cut, 2**-60 in all, land the sum on the tie, which
+    # rounds to even, down. Their float sum's slack straddles it, so the
+    # certificate's ends round apart: with nothing beyond, the whole window
+    # is summed; with terms beyond, the sum is not certain, and the caller
+    # deepens its window.
+    values = _fed_tie([2**-66] * 64)
+    fsum_outward, whole = exact._fsum_outward, []
+    monkeypatch.setattr(exact, "_fsum_outward", lambda terms, mi: whole.append(mi) or fsum_outward(terms, mi))
+    assert _fsum_window(np.array(values), 0) == math.fsum(values) == 1.0 + 2**-26
+    assert whole == [0]
+    assert _fsum_window(np.array(values), 0, 1e-300) is None
+
+
+def test_fsum_window_tie_with_nothing_below_feed_rel_needs_no_fallback():
+    # Zeros below the cut add nothing and no slack: the fed run's tie is the
+    # sum, unless terms beyond may tip it, and then it is not certain.
+    values = [1.0, 2**-26 + 2**-53] + [0.0] * CORE_MIN_TERMS
+    assert _fsum_window(np.array(values), 0) == math.fsum(values) == 1.0 + 2**-26
+    assert _fsum_window(np.array(values), 0, 1e-300) is None
+
+
+def test_two_sided_sum_of_a_log_pmf_that_does_not_fall_from_the_mode():
+    # The two-sided sum is a prefix and a suffix of the window when the
+    # log-pmf falls on each side of the mode. A dip at the mode breaks
+    # that, and the sum must still take every term at most the cutoff.
+    n, r1, c1 = 10**4, 200, 5000
+    full = hypergeom_distribution(n, r1, c1)
+    mi = _mode(n, r1, c1) - full.support_lo
+    log_pmf = full.log_pmf.copy()
+    log_pmf[mi] = log_pmf[mi - 3]
+    dist = HypergeomDist(n, r1, c1, full.support_lo, full.support_hi, log_pmf)
+    assert len(log_pmf) >= CORE_MIN_TERMS
+    for idx in (mi - 3, mi + 3, 0):
+        cutoff = log_pmf[idx] + math.log1p(TWO_SIDED_TIE_REL_TOL)
+        expected = min(1.0, math.fsum(p for p, q in zip(np.exp(log_pmf).tolist(), log_pmf) if q <= cutoff))
+        assert fisher_from_dist(dist, full.support_lo + idx).two_sided_p == expected
 
 
 def _sigma(n, r1, c1):
@@ -459,7 +522,7 @@ def test_uncertified_sums_deepen_to_the_exhaustive_window(monkeypatch):
 
 
 def test_window_placed_accurately_past_10_19():
-    # An ulp of lgamma(10**20) is about 5e5 nats: edges bisected on a sum of
+    # An ulp of lgamma(10**20) is about 5e5 nats: edges checked on a sum of
     # lgamma values landed thousands of terms out. The window at n22 = 10**20
     # is narrower than at 10**17, as sigma is.
     widths = {}
@@ -479,6 +542,81 @@ def test_small_support_is_enumerated_whole_without_lgamma(monkeypatch):
     win = _fisher_distribution(10**9, 120, 120, (0,))
     assert (win.support_lo, win.support_hi, win.beyond_lo, win.beyond_hi) == (0, 120, 0, 0)
     assert np.array_equal(win.log_pmf, full.log_pmf)
+
+
+@pytest.mark.parametrize("mean", [1, 3, 10, 30, 100])
+def test_edges_on_skewed_poisson_like_marginals(mean):
+    # N = 10**9 and a mean n11 of 1 to 100 on a support of 2 * 10**4
+    # points: the right tail falls far more slowly than a normal one with
+    # the same sigma, so each right edge gallops past its seed, and the left
+    # one meets the support's end.
+    n, r1, c1 = 10**9, 2 * 10**4, mean * 5 * 10**4
+    full = hypergeom_distribution(n, r1, c1)
+    mode = _mode(n, r1, c1)
+    n11s = {full.support_lo, mode, mode + 1, full.support_hi}
+    for nats in (100, 300, 700, 850):
+        n11s.update(_n11_at_depth(full, mode, nats))
+    win = _assert_window_matches_full(n, r1, c1, n11s)
+    seed = math.ceil(_sigma(n, r1, c1) * math.sqrt(2.0 * WINDOW_NATS)) + 1
+    assert mode + seed < win.support_hi < full.support_hi
+
+
+@pytest.mark.parametrize("n, r1, c1", [(2**41 + 12345, 3 * 10**4, 2**41 // 1000), (2**45, 10**5, 2**44),
+                                       (3 * 10**12, 2 * 10**4, 10**11)])
+def test_edges_past_stirling_min(n, r1, c1):
+    # From STIRLING_MIN up each edge is checked on Stirling's series: a
+    # skewed marginal with a mean n11 of 30, a symmetric one and one with a
+    # mean of about 670.
+    assert n >= STIRLING_MIN
+    full = hypergeom_distribution(n, r1, c1)
+    mode = _mode(n, r1, c1)
+    n11s = {full.support_lo, mode, full.support_hi}
+    for nats in (100, 300, 700, 850):
+        n11s.update(_n11_at_depth(full, mode, nats))
+    win = _assert_window_matches_full(n, r1, c1, n11s)
+    assert win.support_hi < full.support_hi
+
+
+@pytest.mark.parametrize("n, r1, c1", [(2**130, 2**64, 2**64), (2**130, 2**63 + 4, 2**63 + 4),
+                                       (2**200, 2**100, 2**99)])
+def test_edges_on_supports_wider_than_2_63_points(n, r1, c1):
+    # No array holds these supports whole, but past WINDOW_NATS every term
+    # of the full enumeration is 0.0. A window from the support's low end
+    # out to 4,000 points, anchored as the full enumeration is, leaves out
+    # only such terms, so its sums are the full enumeration's.
+    lo, hi = max(0, r1 + c1 - n), min(r1, c1)
+    reference = exact._enumerate(n, r1, c1, lo, lo + 4000, 0, hi - lo - 4000)
+    assert reference.pmf()[-1] == 0.0
+    win = _fisher_distribution(n, r1, c1)
+    assert win.support_lo == lo and win.support_hi < lo + 4000
+    assert np.array_equal(win.log_pmf, reference.log_pmf[: len(win.log_pmf)])
+    for n11 in (0, 1, 3, 20, 60, 200):
+        t = make_table(n11, r1 - n11, c1 - n11, n - r1 - c1 + n11)
+        assert fisher_exact(t) == fisher_from_dist(reference, n11)
+
+
+def test_edges_take_a_few_lgamma_calls(monkeypatch):
+    # Seeded from sigma, each edge of a window on this 10**5-point support
+    # takes one or two checks of four lgamma calls, after four for the mode
+    # and four for each n11; a bisection between the mode and each end of
+    # the support would take about 140.
+    n, r1, c1 = 10**7, 10**5, 4 * 10**5
+    full = hypergeom_distribution(n, r1, c1)
+    mode = _mode(n, r1, c1)
+    windows = {}
+    calls = []
+    lgamma = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or lgamma(x))
+    for n11s in (None, (mode,), *((k,) for k in _n11_at_depth(full, mode, 300))):
+        calls.clear()
+        windows[n11s] = _fisher_distribution(n, r1, c1, n11s)
+        assert 0 < len(calls) <= 24
+    monkeypatch.undo()
+    for n11s, win in windows.items():
+        assert full.support_lo < win.support_lo and win.support_hi < full.support_hi
+        assert np.array_equal(win.log_pmf, full.log_pmf[win.support_lo : win.support_hi + 1])
+        for n11 in n11s or (mode,):
+            assert fisher_from_dist(win, n11) == fisher_from_dist(full, n11)
 
 
 @st.composite
@@ -708,7 +846,7 @@ def test_p_value_bits_are_pinned():
                                        (2**200, 2**100, 2**99)])
 def test_supports_wider_than_2_63_points(n, r1, c1):
     # Supports too long for a C ssize_t, around a mean n11 below 1: the
-    # window's edges are bisected within _MAX_TERMS points of the mode, and
+    # window's edges are placed within _MAX_TERMS points of the mode, and
     # the window itself holds a few dozen terms.
     for n11 in (0, 1, 3):
         result = fisher_exact(make_table(n11, r1 - n11, c1 - n11, n - r1 - c1 + n11))
