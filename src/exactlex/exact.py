@@ -37,9 +37,10 @@ which take every row's steps from `_log_steps` as `_enumerate` does, so
 their p-values are the same bits. The windows of larger supports are placed
 without lgamma, from sigma and bounds on the steps, and every window is
 checked against the depth rule on the enumerated terms; its sums are
-certified as the single-table path's are. A row those passes cannot settle,
-and a mode more than 2**52 above its support's low end, takes the
-single-table path, which `test` takes too.
+certified as the single-table path's are. A row that fails that check takes
+the single-table path, which `test` takes too, as do a row with an
+uncertain sum and a marginal whose mode lies more than 2**52 above its
+support's low end.
 """
 
 from __future__ import annotations
@@ -499,44 +500,45 @@ def _fisher_batch(n11s: dict[tuple[int, int, int], Sequence[int]],
     pass holds at most _BATCH_CELLS cells of (n11s) x (columns), and once it
     holds a quarter of that, no row that would widen it past twice its first
     row's width, so that few rows are padded far; below that, one pass costs
-    more than the padding. A window that turns out too shallow is widened
-    once and scored in a second round of passes. A marginal whose mode lies
-    more than 2**52 above its support's low end goes to `_fisher_each`, and
-    so does one whose window would not fit in an array or that the passes
-    cannot score.
+    more than the padding. A marginal whose window fails `_batch_pass`'s
+    depth check goes to `_fisher_each`, in one loop with those whose sums
+    the passes leave uncertain, whose window would not fit in an array, or
+    whose mode lies more than 2**52 above its support's low end.
     """
     results: dict[tuple[int, int, int, int], FisherResult] = {}
-    rows, large = [], []
+    rows, large, alone = [], [], []
     for key, ks in n11s.items():
         if not ks:
             continue
         lo, hi = _support(*key)
         mode = _mode(*key)
         if mode - lo > 2**52:
-            _fisher_each(key, ks, results)
+            alone.append(key)
         elif hi - lo + 1 < CORE_MIN_TERMS:
-            rows.append((key, lo, hi, mode, lo, hi, False))
+            rows.append((key, lo, hi, mode, lo, hi))
         else:
             large.append((key, lo, hi, mode, ks))
     for row in _bracket(large) if large else ():
         if row[5] - row[4] < _MAX_TERMS:
             rows.append(row)
         else:
-            _fisher_each(row[0], n11s[row[0]], results)
-    while rows:
-        rows.sort(key=lambda row: row[5] - row[4])
-        again, part, used, left, right = [], [], 0, 0, 0
-        for row in rows:
-            ks, reach = len(n11s[row[0]]), (row[3] - row[4], row[5] - row[3])
-            width = 1 + max(left, reach[0]) + max(right, reach[1])
-            cells = (used + ks) * width
-            if part and (cells > _BATCH_CELLS
-                         or 4 * cells > _BATCH_CELLS and width > 2 * (part[0][5] - part[0][4] + 1)):
-                again += _batch_pass(part, n11s, results)
-                part, used, left, right = [], 0, 0, 0
-            part.append(row)
-            used, left, right = used + ks, max(left, reach[0]), max(right, reach[1])
-        rows = again + _batch_pass(part, n11s, results)
+            alone.append(row[0])
+    rows.sort(key=lambda row: row[5] - row[4])
+    part, used, left, right = [], 0, 0, 0
+    for row in rows:
+        ks, reach = len(n11s[row[0]]), (row[3] - row[4], row[5] - row[3])
+        width = 1 + max(left, reach[0]) + max(right, reach[1])
+        cells = (used + ks) * width
+        if part and (cells > _BATCH_CELLS
+                     or 4 * cells > _BATCH_CELLS and width > 2 * (part[0][5] - part[0][4] + 1)):
+            alone += _batch_pass(part, n11s, results)
+            part, used, left, right = [], 0, 0, 0
+        part.append(row)
+        used, left, right = used + ks, max(left, reach[0]), max(right, reach[1])
+    if part:
+        alone += _batch_pass(part, n11s, results)
+    for key in alone:
+        _fisher_each(key, n11s[key], results)
     return results
 
 
@@ -549,7 +551,7 @@ def _fisher_each(key: tuple[int, int, int], ks: Sequence[int],
 
 
 def _bracket(marginals: list[tuple]) -> list[tuple]:
-    """The first window of each of the `marginals`, (key, support_lo,
+    """The window of each of the `marginals`, (key, support_lo,
     support_hi, mode, n11s), as a `_batch_pass` row: each edge as deep as
     `_fisher_distribution`'s rule asks, placed without lgamma, for all
     marginals at once.
@@ -592,7 +594,7 @@ def _bracket(marginals: list[tuple]) -> list[tuple]:
     more = _widen(nats - reached, past)
     short = (reached < nats) & (reach < room) & np.isfinite(more)
     reach = np.where(short, np.minimum(room, reach + more), reach)
-    return [(key, lo, hi, m, m - int(left), m + int(right), False)
+    return [(key, lo, hi, m, m - int(left), m + int(right))
             for key, lo, hi, m, left, right in zip(keys, los, his, modes, *reach.tolist())]
 
 
@@ -677,10 +679,10 @@ def _range_sums(window: np.ndarray, right: int, length: np.ndarray, at: np.ndarr
 
 
 def _batch_pass(rows: list[tuple], n11s: dict[tuple[int, int, int], Sequence[int]],
-                results: dict[tuple[int, int, int, int], FisherResult]) -> list[tuple]:
+                results: dict[tuple[int, int, int, int], FisherResult]) -> set[tuple[int, int, int]]:
     """Score the marginals `rows`, each (key, support_lo, support_hi, mode,
-    a, b, widened), over its window [a, b] into `results`, in one 2D pass;
-    return the rows to take again in a wider window.
+    a, b), over its window [a, b] into `results`, in one 2D pass; return
+    the keys whose results `_fisher_each` must give instead.
 
     The steps come from `_log_steps`, anchored at the support's low end as
     `_enumerate` anchors a mode at most 2**52 above it. Row i of the step
@@ -698,14 +700,14 @@ def _batch_pass(rows: list[tuple], n11s: dict[tuple[int, int, int], Sequence[int
     checks: CORE_NATS + log(support size) below the mode and every n11 in
     the window. An n11 past an edge must lie WINDOW_NATS deep by
     `_fall_bounds`, so that its term and every one past it are 0.0, or the
-    window must reach WINDOW_NATS on both sides. A row short of that gets
-    the points `_widen` adds past each shallow edge, once. Each normaliser,
-    tail and two-sided sum is a certified `_range_sums`. A row widened
-    before that is still short, or one of whose sums is uncertain, goes to
-    `_fisher_each`.
+    window must reach WINDOW_NATS on both sides. Each normaliser, tail and
+    two-sided sum is a certified `_range_sums`. Every row's sums are taken
+    alike; the key of a row short of the depth rule, or of one with a sum
+    uncertain or in doubt, is returned, and `_fisher_each` overwrites every
+    result this pass gave it.
     """
     n = len(rows)
-    keys, los, his, modes, a_s, b_s, widened = zip(*rows)
+    keys, los, his, modes, a_s, b_s = zip(*rows)
     # Per row: how far the window reaches left and right of the mode, the
     # mode's and the last step's index, and the points past each edge.
     shape = np.array([(m - a, b - m, m - lo, hi - lo - 1, a - lo, hi - b)
@@ -755,7 +757,7 @@ def _batch_pass(rows: list[tuple], n11s: dict[tuple[int, int, int], Sequence[int
     q_col = np.where(outside, 0, np.where(q_off >= 0, q_off, wr - q_off))
 
     # The depth rule, on the enumerated terms.
-    again, fallback = [], []
+    short = np.zeros(n, dtype=bool)
     if beyond.any():
         edge_rel = rel[rows_at, edge_col]
         deepest = np.minimum.reduceat(np.where(outside, 0.0, rel[q_row, q_col]),
@@ -771,27 +773,7 @@ def _batch_pass(rows: list[tuple], n11s: dict[tuple[int, int, int], Sequence[int
             drop, _ = _fall_bounds(consts[:, o_row], ends[o_row, o_side], sign[o_side], past[outside],
                                    last[o_row, 0])
             floor[o_row[edge_rel[o_row, o_side] - drop > -WINDOW_NATS]] = -WINDOW_NATS
-        short = (beyond > 0.0) & (edge_rel > floor[:, None])
-        for i in np.flatnonzero(short.any(axis=1)).tolist():
-            key, lo, hi, mode, a, b, _ = rows[i]
-            fall, _ = _fall_bounds(consts[:, i, None], np.array([a - 1 - lo, b - lo], dtype=np.float64),
-                                   np.array([-1.0, 1.0]), np.ones(2), last[i])
-            more = _widen(edge_rel[i] - floor[i] + SEED_NATS, fall)
-            add_lo, add_hi = np.where(short[i], more, 0.0).tolist()
-            if widened[i] or not math.isfinite(add_lo + add_hi) or b - a + add_lo + add_hi >= _MAX_TERMS:
-                fallback.append(key)
-            else:
-                again.append((key, lo, hi, mode, max(lo, a - int(add_lo)), min(hi, b + int(add_hi)), True))
-        ok = ~short.any(axis=1)
-        if not ok.all():
-            keep = ok[q_row]
-            q_row = (np.cumsum(ok) - 1)[q_row[keep]]
-            q_off, q_col, outside = q_off[keep], q_col[keep], outside[keep]
-            q_keys = [k for k, kept in zip(q_keys, keep.tolist()) if kept]
-            keys = [k for k, kept in zip(keys, ok.tolist()) if kept]
-            unnorm, peaks, rel, rises, edge_col, beyond, reach = (
-                x[ok] for x in (unnorm, peaks, rel, rises, edge_col, beyond, reach))
-            rows_at = rows_at[: len(keys)]
+        short = ((beyond > 0.0) & (edge_rel > floor[:, None])).any(axis=1)
     # Each sum covers a column range of each side of its row (see
     # `_range_sums`); its terms before the cut, at least FEED_REL times its
     # term nearest the mode, are fed to fsum one by one. A whole support
@@ -855,13 +837,11 @@ def _batch_pass(rows: list[tuple], n11s: dict[tuple[int, int, int], Sequence[int
     tails = _range_sums(pmf, wr, length, np.repeat(q_row, 3), start.reshape(-1, 2), cut.reshape(-1, 2),
                         end.reshape(-1, 2), rest.ravel())
 
-    failed = {key for key, z in zip(keys, norms) if z is None}
+    failed = {key for key, z, s in zip(keys, norms, short.tolist()) if z is None or s}
     for result_key, i, p, l, r, t, doubt in zip(q_keys, q_row.tolist(), point.tolist(),
                                                 tails[::3], tails[1::3], tails[2::3], unsure.tolist()):
         if l is None or r is None or t is None or doubt:
             failed.add(keys[i])
         else:
             results[result_key] = FisherResult(min(1.0, l), min(1.0, r), min(1.0, t), p)
-    for key in fallback + sorted(failed):
-        _fisher_each(key, n11s[key], results)
-    return again
+    return failed

@@ -60,6 +60,11 @@ def test_absent_pair_keeps_marginals():
     assert t.col1 == counts.second_counts["d"]
 
 
+def test_table_of_empty_counts_raises_no_observations():
+    with pytest.raises(NoObservationsError, match="no bigrams counted"):
+        bigram_table(BigramCounts(), "oil", "industry")
+
+
 def test_absent_word_gives_zero_marginal_not_error():
     t = bigram_table(oil_industry_counts(), "nonexistent", "industry")
     assert t.row1 == 0
@@ -148,6 +153,14 @@ def test_rank_ties_break_lexicographically():
     assert [(r.word, r.exact_rank) for r in ranked] == [
         ("alpha", 1), ("beta", 2), ("delta", 3)
     ]
+
+
+def test_rank_refuses_an_unknown_key():
+    record = AssociationRecord(word="a", n11=1, m11=0.5, exact_left_p=1.0,
+                               exact_right_p=0.2, exact_two_p=0.2, point_p=0.2)
+    with pytest.raises(ValueError, match="unknown rank key 'fisher'"):
+        rank_records([record], "fisher")
+    assert record.exact_rank is None
 
 
 def test_rank_excludes_undefined():

@@ -149,6 +149,10 @@ class TestSpecialFunctions:
         with pytest.raises(ValueError):
             chi_square_sf(-0.1, 1)
 
+    def test_chi_square_rejects_no_degrees_of_freedom(self):
+        with pytest.raises(ValueError, match="degrees of freedom must be positive, got 0"):
+            chi_square_sf(1.0, 0)
+
     def test_chi_square_matches_quadrature(self):
         for x in np.linspace(0.1, 40.0, 25):
             assert chi_square_sf(float(x), 1) == pytest.approx(

@@ -40,6 +40,13 @@ def test_tea_distribution_rounded():
     assert rounded == [0.014, 0.229, 0.514, 0.229, 0.014]
 
 
+def test_pmf_at_is_zero_outside_the_support():
+    dist = hypergeom_distribution(10, 3, 4)
+    assert (dist.support_lo, dist.support_hi) == (0, 3)
+    assert dist.pmf_at(-1) == dist.pmf_at(4) == 0.0
+    assert dist.pmf_at(1) == math.exp(dist.log_pmf[1])
+
+
 def test_forced_single_table():
     dist = hypergeom_distribution(10, 10, 3)
     assert (dist.support_lo, dist.support_hi) == (3, 3)
@@ -741,36 +748,76 @@ def _wide_n11s():
     return n11s
 
 
-def test_batch_second_pass_and_fallback_give_the_same_results(monkeypatch):
-    # Forced second passes and single-table fallbacks give the dict of the
-    # unforced batch, which is fisher_exact's.
+def test_batch_fallback_on_shallow_windows_gives_the_same_results(monkeypatch):
+    # Windows forced too shallow send their marginals to the single-table
+    # path, which gives the dict of the unforced batch, fisher_exact's.
     n11s = _wide_n11s()
     expected = _fisher_batch(n11s)
     assert expected == _batch_reference(n11s)
-    passes, alone = [], []
-    batch_pass, fisher_each, bracket = exact._batch_pass, exact._fisher_each, exact._bracket
-    monkeypatch.setattr(exact, "_batch_pass", lambda rows, n11s, results: passes.extend(
-        row[6] for row in rows) or batch_pass(rows, n11s, results))
+    alone = []
+    fisher_each, bracket = exact._fisher_each, exact._bracket
     monkeypatch.setattr(exact, "_fisher_each", lambda key, ks, results: alone.append(key)
                         or fisher_each(key, ks, results))
 
     # Windows placed for the mode alone leave the n11 300 nats deep past
-    # them, not surely 0.0: those marginals are widened to WINDOW_NATS.
+    # them, not surely 0.0: those marginals fail the depth check.
     monkeypatch.setattr(exact, "_bracket", lambda marginals: bracket(
         [(key, lo, hi, mode, [mode]) for key, lo, hi, mode, _ in marginals]))
     assert _fisher_batch(n11s) == expected
-    assert passes.count(True) >= sum(len(ks) > 6 for ks in n11s.values()) > 0 and not alone
-    # Every first window one point, the mode: each is widened by the falls
-    # past its edges and scored in a second pass.
-    passes.clear()
-    monkeypatch.setattr(exact, "_bracket", lambda marginals: [(key, lo, hi, mode, mode, mode, False)
+    assert len(alone) >= sum(len(ks) > 6 for ks in n11s.values()) > 0
+    # Every window one point, the mode: each marginal takes the single-table
+    # path.
+    alone.clear()
+    monkeypatch.setattr(exact, "_bracket", lambda marginals: [(key, lo, hi, mode, mode, mode)
                                                               for key, lo, hi, mode, _ in marginals])
     assert _fisher_batch(n11s) == expected
-    assert passes.count(True) == len(n11s) and not alone
-    # With no widening either, each marginal takes the single-table path.
-    monkeypatch.setattr(exact, "_widen", lambda missing, fall: np.zeros_like(missing))
-    assert _fisher_batch(n11s) == expected
     assert sorted(alone) == sorted(n11s)
+
+
+def test_batch_takes_a_marginal_with_an_uncertain_tail_to_the_single_table_path(monkeypatch):
+    # The batch refuses the first tail sum it certifies, the left tail of
+    # the narrowest window's first n11: that marginal, and only that one,
+    # takes the single-table path, whose sums are not refused.
+    n11s = {(10**6, 3000, 5000): [5, 15, 40], (10**4, 40, 60): [0, 1, 7]}
+    alone, calls, refused = [], [], []
+    range_sums, certified_fsum, fisher_each = exact._range_sums, exact._certified_fsum, exact._fisher_each
+
+    def refuse_first_tail(fed, least, most):
+        # The pass's first _range_sums call takes the normalisers, its
+        # second the tails.
+        if len(calls) == 2 and not refused:
+            refused.append(fed)
+            return None
+        return certified_fsum(fed, least, most)
+
+    monkeypatch.setattr(exact, "_range_sums", lambda *args: calls.append(args) or range_sums(*args))
+    monkeypatch.setattr(exact, "_certified_fsum", refuse_first_tail)
+    monkeypatch.setattr(exact, "_fisher_each", lambda key, ks, results: alone.append(key)
+                        or fisher_each(key, ks, results))
+    assert _fisher_batch(n11s) == _batch_reference(n11s)
+    assert len(calls) == 2 and len(refused) == 1 and alone == [(10**4, 40, 60)]
+
+
+def test_batch_skips_a_marginal_with_no_n11():
+    assert _fisher_batch({(10, 3, 4): []}) == {}
+    assert _fisher_batch({(10, 3, 4): [], (10, 3, 5): [1]}) == _batch_reference({(10, 3, 5): [1]})
+
+
+def test_batch_refuses_a_window_too_long_for_an_array_as_fisher_exact_does(monkeypatch):
+    # With arrays of at most 64 terms, the bracketed window of this 3001-point
+    # support goes to the single-table path, which refuses its window with
+    # the MemoryError that fisher_exact raises on the same table.
+    n, r1, c1, n11 = 10**6, 3000, 5000, 15
+    bracket = exact._bracket
+    rows = []
+    monkeypatch.setattr(exact, "_bracket", lambda marginals: rows.extend(bracket(marginals)) or rows)
+    monkeypatch.setattr(exact, "_MAX_TERMS", 64)
+    with pytest.raises(MemoryError) as alone:
+        fisher_exact(make_table(n11, r1 - n11, c1 - n11, n - r1 - c1 + n11))
+    with pytest.raises(MemoryError) as batched:
+        _fisher_batch({(n, r1, c1): [n11]})
+    assert rows[0][5] - rows[0][4] >= 64
+    assert str(batched.value) == str(alone.value)
 
 
 def test_batch_takes_modes_past_2_52_to_the_single_table_path(monkeypatch):
