@@ -37,10 +37,11 @@ which take every row's steps from `_log_steps` as `_enumerate` does, so
 their p-values are the same bits. The windows of larger supports are placed
 without lgamma, from sigma and bounds on the steps, and every window is
 checked against the depth rule on the enumerated terms; its sums are
-certified as the single-table path's are. A row that fails that check takes
-the single-table path, which `test` takes too, as do a row with an
-uncertain sum and a marginal whose mode lies more than 2**52 above its
-support's low end.
+certified as the single-table path's are. A marginal whose window leaves
+out one of its n11s takes the single-table path, which `test` takes too, so
+that `fisher_from_dist` is the one place that scores an n11 past a window;
+so do a row that fails the depth check, a row with an uncertain sum and a
+marginal whose mode lies more than 2**52 above its support's low end.
 """
 
 from __future__ import annotations
@@ -500,10 +501,11 @@ def _fisher_batch(n11s: dict[tuple[int, int, int], Sequence[int]],
     pass holds at most _BATCH_CELLS cells of (n11s) x (columns), and once it
     holds a quarter of that, no row that would widen it past twice its first
     row's width, so that few rows are padded far; below that, one pass costs
-    more than the padding. A marginal whose window fails `_batch_pass`'s
-    depth check goes to `_fisher_each`, in one loop with those whose sums
-    the passes leave uncertain, whose window would not fit in an array, or
-    whose mode lies more than 2**52 above its support's low end.
+    more than the padding. A marginal whose window leaves out one of its
+    n11s or would not fit in an array, or whose mode lies more than 2**52
+    above its support's low end, goes to `_fisher_each` before any pass
+    enumerates it; so do, in the same loop, those whose window fails
+    `_batch_pass`'s depth check or whose sums the passes leave uncertain.
     """
     results: dict[tuple[int, int, int, int], FisherResult] = {}
     rows, large, alone = [], [], []
@@ -519,7 +521,8 @@ def _fisher_batch(n11s: dict[tuple[int, int, int], Sequence[int]],
         else:
             large.append((key, lo, hi, mode, ks))
     for row in _bracket(large) if large else ():
-        if row[5] - row[4] < _MAX_TERMS:
+        ks = n11s[row[0]]
+        if row[5] - row[4] < _MAX_TERMS and row[4] <= min(ks) and max(ks) <= row[5]:
             rows.append(row)
         else:
             alone.append(row[0])
@@ -557,13 +560,13 @@ def _bracket(marginals: list[tuple]) -> list[tuple]:
     marginals at once.
 
     `_fall_bounds` bounds how deep each n11 lies. One that surely lies
-    WINDOW_NATS deep is left past the window, where `_batch_pass` shows it
-    again; each edge aims CORE_NATS + log(support size) + SEED_NATS below
-    the deepest of the others by its upper bound, and at most WINDOW_NATS
-    below the mode. A normal log-pmf with the hypergeometric sigma places
-    each edge first, and where the lower bound on the fall to it is short
-    of the aim, `_widen` moves it out by the rest. `_batch_pass` checks the
-    depth on the enumerated terms.
+    WINDOW_NATS deep is left past the window, and its marginal takes
+    `_fisher_each`; each edge aims CORE_NATS + log(support size) +
+    SEED_NATS below the deepest of the others by its upper bound, and at
+    most WINDOW_NATS below the mode. A normal log-pmf with the
+    hypergeometric sigma places each edge first, and where the lower bound
+    on the fall to it is short of the aim, `_widen` moves it out by the
+    rest. `_batch_pass` checks the depth on the enumerated terms.
     """
     keys, los, his, modes, n11s = zip(*marginals)
 
@@ -649,7 +652,6 @@ def _range_sums(window: np.ndarray, right: int, length: np.ndarray, at: np.ndarr
     (`_certified_fsum`). Any cut gives the same sums; one past which the
     terms lie far below the sum's ulp leaves the slack too small to matter.
     """
-    end = np.maximum(end, start)
     cut = np.minimum(np.maximum(cut, start), end)
     # Each side's fed terms of every sum, one after another, as one list.
     fed, bounds = [], []
@@ -696,15 +698,14 @@ def _batch_pass(rows: list[tuple], n11s: dict[tuple[int, int, int], Sequence[int
     arrays, so they run the same loop on them as on `_enumerate`'s 1D
     arrays, and give the same bits.
 
-    Each edge must end the support or lie as deep as `_fisher_distribution`
-    checks: CORE_NATS + log(support size) below the mode and every n11 in
-    the window. An n11 past an edge must lie WINDOW_NATS deep by
-    `_fall_bounds`, so that its term and every one past it are 0.0, or the
-    window must reach WINDOW_NATS on both sides. Each normaliser, tail and
-    two-sided sum is a certified `_range_sums`. Every row's sums are taken
-    alike; the key of a row short of the depth rule, or of one with a sum
-    uncertain or in doubt, is returned, and `_fisher_each` overwrites every
-    result this pass gave it.
+    Every n11 lies in its row's window: `_fisher_batch` sends a marginal
+    with one past an edge to `_fisher_each`. Each edge must end the support
+    or lie as deep as `_fisher_distribution` checks: CORE_NATS + log(support
+    size) below the mode and every n11. Each normaliser, tail and two-sided
+    sum is a certified `_range_sums`. Every row's sums are taken alike; the
+    key of a row short of the depth rule, or of one with a sum uncertain or
+    in doubt, is returned, and `_fisher_each` overwrites every result this
+    pass gave it.
     """
     n = len(rows)
     keys, los, his, modes, a_s, b_s = zip(*rows)
@@ -738,42 +739,23 @@ def _batch_pass(rows: list[tuple], n11s: dict[tuple[int, int, int], Sequence[int
     rows_at = np.arange(n)[:, None]
     edge_col = np.where(reach > 0.0, reach + [[wr, 0]], 0.0).astype(np.intp)
 
-    # One query per n11, in row order. An n11 past an edge takes an offset
-    # past every column, so that one of its tails holds the whole window and
-    # the other nothing.
-    q_row, q_off, q_keys, past = [], [], [], []
-    for i, key, m, a, b in zip(range(n), keys, modes, a_s, b_s):
+    # One query per n11, in row order, at its offset from the mode.
+    q_row, q_off, q_keys = [], [], []
+    for i, key, m in zip(range(n), keys, modes):
         for n11 in n11s[key]:
             q_row.append(i)
+            q_off.append(n11 - m)
             q_keys.append((*key, n11))
-            if a <= n11 <= b:
-                q_off.append(n11 - m)
-                past.append(0)
-            else:
-                q_off.append(wr + 1 if n11 > b else -wl - 1)
-                past.append(n11 - b if n11 > b else a - n11)
-    q_row, q_off, past = np.array(q_row), np.array(q_off), np.array(past, dtype=np.float64)
-    outside = past > 0.0
-    q_col = np.where(outside, 0, np.where(q_off >= 0, q_off, wr - q_off))
+    q_row, q_off = np.array(q_row), np.array(q_off)
+    q_col = np.where(q_off >= 0, q_off, wr - q_off)
 
     # The depth rule, on the enumerated terms.
     short = np.zeros(n, dtype=bool)
     if beyond.any():
-        edge_rel = rel[rows_at, edge_col]
-        deepest = np.minimum.reduceat(np.where(outside, 0.0, rel[q_row, q_col]),
-                                      np.searchsorted(q_row, range(n)))
+        deepest = np.minimum.reduceat(rel[q_row, q_col], np.searchsorted(q_row, range(n)))
         floor = np.maximum(-WINDOW_NATS,
                            np.minimum(rel[:, 0], deepest) - CORE_NATS - np.log(last[:, 0] + 2.0))
-        if outside.any():
-            # How far the log-pmf falls at least from the edge to each n11
-            # past it.
-            ends = np.concatenate((mi - reach[:, :1] - 1.0, mi + reach[:, 1:]), axis=1)
-            sign = np.array([-1.0, 1.0])
-            o_row, o_side = q_row[outside], (q_off[outside] > 0).astype(np.intp)
-            drop, _ = _fall_bounds(consts[:, o_row], ends[o_row, o_side], sign[o_side], past[outside],
-                                   last[o_row, 0])
-            floor[o_row[edge_rel[o_row, o_side] - drop > -WINDOW_NATS]] = -WINDOW_NATS
-        short = ((beyond > 0.0) & (edge_rel > floor[:, None])).any(axis=1)
+        short = ((beyond > 0.0) & (rel[rows_at, edge_col] > floor[:, None])).any(axis=1)
     # Each sum covers a column range of each side of its row (see
     # `_range_sums`); its terms before the cut, at least FEED_REL times its
     # term nearest the mode, are fed to fsum one by one. A whole support
@@ -795,18 +777,17 @@ def _batch_pass(rows: list[tuple], n11s: dict[tuple[int, int, int], Sequence[int
     pmf = np.exp(log_pmf)
 
     # An n11 at offset d >= 0 is right column d, and at d < 0 left column
-    # -d - 1; one past the window lies past its side's end. The left tail
-    # takes the columns at or left of it, the right tail those at or right
-    # of it, and the two-sided sum those of each side from the first whose
-    # log-pmf is at most the cutoff. Every left column falls further from
-    # the mode, and every right one from column 1 on, so that first column
-    # is the count of those above the cutoff unless column 1 lies above the
-    # mode and the cutoff between them.
+    # -d - 1. The left tail takes the columns at or left of it, the right
+    # tail those at or right of it, and the two-sided sum those of each side
+    # from the first whose log-pmf is at most the cutoff. Every left column
+    # falls further from the mode, and every right one from column 1 on, so
+    # that first column is the count of those above the cutoff unless column
+    # 1 lies above the mode and the cutoff between them.
     pos = q_off >= 0
     at = np.where(pos, q_off, -q_off - 1)
     side_len, mode_cut = length[q_row], _side_counts(pmf >= (feed * pmf[:, 0])[:, None], wr)[q_row]
-    point = np.where(outside, 0.0, pmf[q_row, q_col])
-    cutoff = np.where(outside, -np.inf, log_pmf[q_row, q_col] + math.log1p(TWO_SIDED_TIE_REL_TOL))
+    point = pmf[q_row, q_col]
+    cutoff = log_pmf[q_row, q_col] + math.log1p(TWO_SIDED_TIE_REL_TOL)
     lp = log_pmf[q_row]
     high = lp > cutoff[:, None]
     two = _side_counts(high, wr)
@@ -814,8 +795,8 @@ def _batch_pass(rows: list[tuple], n11s: dict[tuple[int, int, int], Sequence[int
     unsure = rises[q_row] & (log_pmf[q_row, 0] <= cutoff) & (cutoff < log_pmf[q_row, bump])
     # The columns of each side at least FEED_REL of the n11's term, which
     # the near tail and the two-sided sum feed one by one.
-    cut_r, cut_l = _side_counts(lp >= np.where(whole[q_row] | outside, -np.inf,
-                                               cutoff + math.log(FEED_REL))[:, None], wr).T
+    cut_r, cut_l = _side_counts(lp >= np.where(whole[q_row], -np.inf, cutoff + math.log(FEED_REL))[:, None],
+                                wr).T
     del lp, log_pmf
     near = np.where(pos, cut_r, cut_l)
 
@@ -824,16 +805,12 @@ def _batch_pass(rows: list[tuple], n11s: dict[tuple[int, int, int], Sequence[int
     none = np.zeros_like(at)
     start = np.stack((none, np.where(pos, none, at), np.where(pos, at, none), none, two[:, 0], two[:, 1]),
                      axis=1)
-    end = np.stack((np.where(pos, np.minimum(at + 1, side_len[:, 0]), none), side_len[:, 1],
-                    side_len[:, 0], np.where(pos, none, np.minimum(at + 1, side_len[:, 1])),
+    end = np.stack((np.where(pos, at + 1, none), side_len[:, 1], side_len[:, 0], np.where(pos, none, at + 1),
                     side_len[:, 0], side_len[:, 1]), axis=1)
     cut = np.stack((mode_cut[:, 0], np.where(pos, mode_cut[:, 1], near), np.where(pos, near, mode_cut[:, 0]),
                     mode_cut[:, 1], cut_r, cut_l), axis=1)
     lower, upper = (beyond * pmf[rows_at, edge_col])[q_row].T
-    past_lo, past_hi = outside & ~pos, outside & pos
-    rest = 2.0 * np.stack((np.where(past_lo, 0.0, lower + past_hi * upper),
-                           np.where(past_hi, 0.0, upper + past_lo * lower),
-                           np.where(outside, 0.0, lower + upper)), axis=1)
+    rest = 2.0 * np.stack((lower, upper, lower + upper), axis=1)
     tails = _range_sums(pmf, wr, length, np.repeat(q_row, 3), start.reshape(-1, 2), cut.reshape(-1, 2),
                         end.reshape(-1, 2), rest.ravel())
 

@@ -798,6 +798,48 @@ def test_batch_takes_a_marginal_with_an_uncertain_tail_to_the_single_table_path(
     assert len(calls) == 2 and len(refused) == 1 and alone == [(10**4, 40, 60)]
 
 
+def test_batch_takes_a_marginal_with_an_n11_past_its_window_to_the_single_table_path(monkeypatch):
+    # A planted pair of a scan at N = 1.38e6: n11 = 500 of a 547-point
+    # support whose mode is 9 lies more than WINDOW_NATS deep, past the
+    # window `_bracket` places, so that marginal takes the single-table path
+    # with both its n11s. Every n11 of the others lies inside its window, and
+    # those marginals are batched.
+    deep = (1382828, 546, 24282)
+    n11s = {deep: [11, 500], (1382828, 838, 24282): [0, 14, 30], (10**6, 3000, 5000): [5, 15, 40],
+            (10**4, 40, 60): [0, 1, 7]}
+    full = hypergeom_distribution(*deep)
+    assert full.log_pmf[500] - full.log_pmf.max() < -WINDOW_NATS
+    alone, rows = [], []
+    bracket, fisher_each = exact._bracket, exact._fisher_each
+    monkeypatch.setattr(exact, "_bracket", lambda marginals: rows.extend(bracket(marginals)) or rows)
+    monkeypatch.setattr(exact, "_fisher_each", lambda key, ks, results: alone.append(key)
+                        or fisher_each(key, ks, results))
+    assert _fisher_batch(n11s) == _batch_reference(n11s)
+    assert alone == [deep]
+    assert [row[5] < 500 for row in rows if row[0] == deep] == [True]
+
+
+def test_batch_takes_a_two_sided_sum_in_doubt_to_the_single_table_path(monkeypatch):
+    # With the mode taken one below the true mode of (10**4, 400, 500), 19
+    # instead of 20, right column 1 of the batch's window rises above column
+    # 0, so the two-sided sum's first column is not the count of those above
+    # the cutoff. At n11 = 19, whose cutoff lies between the two, the sum is
+    # in doubt and the marginal takes the single-table path; at n11 = 14, 20
+    # and 24 it is not. Every result equals fisher_exact's under the same
+    # mode.
+    key = (10**4, 400, 500)
+    mode = exact._mode
+    assert mode(*key) == 20
+    monkeypatch.setattr(exact, "_mode", lambda *marginal: mode(*marginal) - 1)
+    alone = []
+    fisher_each = exact._fisher_each
+    monkeypatch.setattr(exact, "_fisher_each", lambda marginal, ks, results: alone.append(ks[0])
+                        or fisher_each(marginal, ks, results))
+    for n11 in (19, 14, 20, 24):
+        assert _fisher_batch({key: [n11]}) == _batch_reference({key: [n11]})
+    assert alone == [19]
+
+
 def test_batch_skips_a_marginal_with_no_n11():
     assert _fisher_batch({(10, 3, 4): []}) == {}
     assert _fisher_batch({(10, 3, 4): [], (10, 3, 5): [1]}) == _batch_reference({(10, 3, 5): [1]})
