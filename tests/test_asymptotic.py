@@ -149,6 +149,12 @@ class TestSpecialFunctions:
         with pytest.raises(ValueError):
             chi_square_sf(-0.1, 1)
 
+    @pytest.mark.parametrize("df", [1, 2, 5])
+    def test_chi_square_rejects_nan_and_is_zero_at_infinity(self, df):
+        with pytest.raises(ValueError, match="must be nonnegative, got nan"):
+            chi_square_sf(math.nan, df)
+        assert chi_square_sf(math.inf, df) == 0.0
+
     def test_chi_square_rejects_no_degrees_of_freedom(self):
         with pytest.raises(ValueError, match="degrees of freedom must be positive, got 0"):
             chi_square_sf(1.0, 0)
@@ -176,6 +182,39 @@ class TestSpecialFunctions:
         grid = np.linspace(0.0, 60.0, 200)
         values = [chi_square_sf(float(x), 1) for x in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    def test_chi_square_df1_within_conditioning_bound(self):
+        # The df=1 tail against mpmath's regularized upper incomplete gamma
+        # Q(1/2, x/2). Its relative condition number in x is about x/2, so
+        # (x + 16) ulps of 1.0 allows for that and some slack; x whose true
+        # tail is subnormal are left out.
+        import mpmath
+
+        rng = np.random.default_rng(23)
+        xs = np.concatenate([rng.exponential(1.0, 1000), rng.uniform(0.0, 40.0, 1000),
+                             10.0 ** rng.uniform(-10.0, math.log10(2e3), 1000),
+                             rng.uniform(2.9, 3.1, 1000)])
+        checked = 0
+        with mpmath.workdps(40):
+            for x in map(float, xs):
+                want = mpmath.gammainc(mpmath.mpf(0.5), mpmath.mpf(x) / 2, mpmath.inf,
+                                       regularized=True)
+                if want < mpmath.mpf(2) ** -1022:
+                    continue
+                error = abs((mpmath.mpf(chi_square_sf(x, 1)) - want) / want)
+                assert error <= (x + 16) * 2.0**-52, x
+                checked += 1
+        assert checked > 3900
+
+    @pytest.mark.parametrize("start", [0.0, 1.0, 2.0, 2.99, 3.0, 5.0, 10.0, 100.0])
+    def test_chi_square_df1_monotone_between_neighbouring_floats(self, start):
+        # A larger X^2 never gets a larger p; neighbouring floats may tie.
+        x, previous = start, chi_square_sf(start, 1)
+        for _ in range(20_000):
+            x = math.nextafter(x, math.inf)
+            value = chi_square_sf(x, 1)
+            assert value <= previous, x
+            previous = value
 
     def test_normal_sf_values(self):
         assert normal_sf(0.0) == 0.5
@@ -378,6 +417,6 @@ def test_battery_columns_equal_battery_on_a_seeded_batch():
         assert [None if math.isnan(v) else v.hex() for v in values] == \
             [None if v is None else v.hex() for v in want]
         statistics += [r.statistic for r in (tests.pearson, tests.g2) if r is not None]
-    # Both tails (the series below x = 3, the continued fraction above), and N past 2**63.
+    # Statistics below and above x = 3, and N past 2**63.
     assert min(statistics) < 3.0 < max(statistics)
     assert sum(n >= 2**63 for *_, n in tables) >= 500

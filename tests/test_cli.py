@@ -310,15 +310,18 @@ def _golden_shards() -> list[str]:
 @pytest.mark.parametrize("argv, digest", [
     (["count", "--bigrams"], "d67c9351116dc7ec062b5337d021ad407654e6bf15a9e5ee4e194544206f16fe"),
     (["zipf"], "2e9de27904759f6a1410fba487c3f6d6303698e603fe93aed2a12f687e05912f"),
+    # Taken when the df=1 chi-square tail became erfc(sqrt(x/2)): X^2 and
+    # G^2 p-values moved in their last digits, and no rank moved.
     (["assoc", "--second", "tea", "--format", "json"],
-     "25537ff299dd4bc4f5543ce2ac65656ff702755ae28b2a3d4f5102954cbae9c0"),
+     "0a5b83883b94aee596d3d6abe6b371671d3ed9418827afa303ec1aab755f466f"),
     # These two were taken before the asymptotic tests became one battery.
     (["assoc", "--second", "tea"], "3c775ba3b68c95b7244c477ea10ed9308174f1ae41a76da474d72fa292dbb960"),
     (["zipf", "--format", "tsv"], "d0cc29b19523b4fdda1276aad90436539062a435b6695fe7b33ce9076beefa88"),
     # These two, whose partners' tables repeat, were taken before a scan
-    # scored each distinct table once.
+    # scored each distinct table once; the first was retaken when the df=1
+    # chi-square tail became erfc(sqrt(x/2)).
     (["assoc", "--first", "w0", "--format", "json"],
-     "ce8259e247e66a2c9b48b3411985915f55b5b08a9f652829fc31ea75ceb9c6c5"),
+     "99199222942875d0e75f3a57a9731c9651860e978aa95e95afca1ef892d01905"),
     (["assoc", "--second", "tea", "--min-count", "2"],
      "c7abbacab45e0f9dc4a58b54ecf6cbb7e8b5a2414ea8f0114cf0995db90a2526"),
     # These three were taken before every shard was counted into one
@@ -390,14 +393,18 @@ def _test_argvs(fmt: str) -> list[list[str]]:
 
 @pytest.mark.parametrize("argvs, digest", [
     (_test_argvs("report"), "5a6c5d495eab357aad06c921324304b32d07d7a58dc3cc16f029813a841542be"),
-    (_test_argvs("json"), "4a6b28a99ae08fc67644822b91bdb699876c64fd8ec6a4368047b094825e3895"),
+    # Taken when the df=1 chi-square tail became erfc(sqrt(x/2)): the X^2,
+    # G^2, Yates and Mantel-Haenszel p-values moved in their last digits.
+    (_test_argvs("json"), "bd822b5ea4ed4b9a12a86661742312284e8b11694cfcee51c5a85a95f64bc28e"),
     ([["tea"]], "2dcc4f752d05b47b758d864c031890ff0dfca5cb2a38fcca1179666fce465633"),
     ([["simulate", "--p-row", "0.001", "--p-col", "0.001", "--n", "100", "--trials", "2000",
        "--seed", "8"]],  # mostly degenerate; no valid t trial, so its mean_p is null
      "89be38ecc8af2114563240c56e325ed77544c0d45345ef346bb55c46bade279a"),
     ([["simulate", "--p11", "0.1", "--p12", "0.2", "--p21", "0.3", "--p22", "0.4", "--n", "40",
        "--trials", "1000", "--seed", "11", "--alpha", "0.001", "--alpha", "0.2"]],
-     "39d5ebed752f94714776a7a67323f44b5d58ca78a33847073b3f97b4a0ca0c75"),
+     # taken when the df=1 chi-square tail became erfc(sqrt(x/2)): the X^2
+     # and G^2 mean_p moved in their last digits, no rejection rate moved
+     "38629c5982a02dfee6cf2c38a28aa4c48cb3aba37562f139d464b5563cca0716"),
     ([["simulate", "--p-row", "0.002", "--p-col", "0.0007", "--n", "10000", "--trials", "10000",
        "--seed", "1"]],  # the benchmark's model: 486 distinct tables, all scored in one batch
      "c5ab032cf329e5984a35fd83615f653e810fc3e0f82966cffa5e1770b450c6f3"),
