@@ -4,9 +4,10 @@ Covers Pearson's X^2, the likelihood-ratio G^2, the Yates continuity-adjusted
 and Mantel-Haenszel chi-square variants, the one-sample bigram t-test, and
 the special functions (chi-square and normal upper tails) that turn
 statistics into p-values. Every chi-square test here has df = 1, whose tail
-is erfc(sqrt(x/2)); the incomplete-gamma series and continued fraction serve
-df >= 2 only. `Battery` holds every formula for one table; the test
-functions are views of it that raise when the table refuses the test.
+is erfc(sqrt(x/2)); df = 2 is exp(-x/2), and the incomplete-gamma series and
+continued fraction serve df >= 3 only. `Battery` holds every formula for one
+table; the test functions are views of it that raise when the table refuses
+the test.
 `_battery_columns` takes Battery's expected n11 and its X^2, G^2 and t
 p-values over many tables at once, to the bit: the same float operations
 per table, mapped over columns.
@@ -86,11 +87,11 @@ def _upper_gamma_cf(a: float, x: float) -> float:
 def chi_square_sf(x: float, df: int) -> float:
     """Upper-tail probability P(chi^2_df >= x); 0.0 at x = inf.
 
-    df = 1 is the closed form erfc(sqrt(x/2)) (Abramowitz & Stegun 26.4.4):
-    one libm call, non-increasing in x, and within a relative (x + 16) * 2**-52
-    of mpmath on seeded samples wherever the tail is a normal float. The
-    regularized incomplete gamma, by its power series or continued
-    fraction, serves df >= 2 only.
+    df = 1 is the closed form erfc(sqrt(x/2)) (Abramowitz & Stegun 26.4.4)
+    and df = 2 the closed form exp(-x/2): one libm call each, non-increasing
+    in x, and within a relative (x + 16) * 2**-52 of mpmath on seeded samples
+    wherever the tail is a normal float. The regularized incomplete gamma,
+    by its power series or continued fraction, serves df >= 3 only.
     """
     if not x >= 0:
         raise ValueError(f"chi-square statistic must be nonnegative, got {x}")
@@ -98,6 +99,8 @@ def chi_square_sf(x: float, df: int) -> float:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
     if df == 1:
         return math.erfc(math.sqrt(x / 2.0))
+    if df == 2:
+        return math.exp(-x / 2.0)
     if x == math.inf:
         return 0.0
     a = df / 2.0

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import sys
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, count
 from pathlib import Path
 
 import numpy as np
@@ -171,32 +171,34 @@ class _TokenIds:
 def _token_ids(texts: Iterable[str], config: TokenizerConfig) -> _TokenIds:
     """Tokenize each text, in turn, into word ids.
 
-    Each distinct raw run is normalised once per call, however many texts and
-    lines repeat it, and mapped straight to its word id (-1 where it
-    normalises to nothing). A bigram is two adjacent tokens of one unit: a
-    text or, with sentence_reset, a line.
+    Each token takes one dictionary probe: a raw run seen for the first time
+    gets the next run id, in C. After the last text each distinct run is
+    normalised once, however many texts and lines repeat it, and the texts'
+    run ids are mapped to word ids (dropping the runs that normalise to
+    nothing) one text at a time. Word ids follow first occurrence. A bigram
+    is two adjacent tokens of one unit: a text or, with sentence_reset, a line.
     """
-    word_ids: dict[str, int] = {}
-    run_ids: dict[str, int] = {}
-    ids, units = [np.zeros(0, np.int64)], [np.zeros(0, np.intp)]
-    unit_count = 0
+    run_ids: defaultdict[str, int] = defaultdict(count().__next__)
+    ids, unit_lengths = [np.zeros(0, np.int64)], [[]]
     for text in texts:
         unit_raws = [line.split() for line in text.splitlines()] if config.sentence_reset else [text.split()]
-        raws = list(chain.from_iterable(unit_raws))
-        # The map's keys are fresh copies of the new runs, made side by side.
-        # Keys taken from `raws` would lie scattered over its memory and keep
-        # most of that from being reused once `raws` is freed.
-        new = " ".join(set(raws).difference(run_ids)).split()
-        for raw, token in zip(new, _normalise_runs(new, config)):
-            run_ids[raw] = word_ids.setdefault(token, len(word_ids)) if token else -1
-        text_ids = np.fromiter(map(run_ids.__getitem__, raws), np.int64, len(raws))
-        kept = text_ids >= 0
-        ids.append(text_ids[kept])
-        units.append(np.repeat(np.arange(unit_count, unit_count + len(unit_raws)),
-                               list(map(len, unit_raws)))[kept])
-        unit_count += len(unit_raws)
+        unit_lengths.append(list(map(len, unit_raws)))
+        ids.append(np.fromiter(map(run_ids.__getitem__, chain.from_iterable(unit_raws)), np.int64,
+                               sum(unit_lengths[-1])))
+        del text, unit_raws  # the last text's runs are not kept through the gather below
+    # The empty word, what a run of punctuation alone normalises to, has id -1.
+    word_ids: defaultdict[str, int] = defaultdict(count().__next__, {"": -1})
+    words = np.fromiter(map(word_ids.__getitem__, _normalise_runs(list(run_ids), config)), np.int64, len(run_ids))
+    units, unit_count = [], 0
+    for k, lengths in enumerate(unit_lengths):
+        # Each step drops the array it replaces, so one text's temporaries are live at a time.
+        ids[k] = words[ids[k]]
+        kept = ids[k] >= 0
+        ids[k] = ids[k][kept]
+        units.append(np.repeat(np.arange(unit_count, unit_count + len(lengths)), lengths)[kept])
+        unit_count += len(lengths)
     unit = np.concatenate(units)
-    return _TokenIds(list(word_ids), np.concatenate(ids), unit[1:] == unit[:-1])
+    return _TokenIds(list(word_ids)[1:], np.concatenate(ids), unit[1:] == unit[:-1])
 
 
 def count_text(text: str, config: TokenizerConfig = TokenizerConfig()) -> tuple[Counter, BigramCounts]:

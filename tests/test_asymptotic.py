@@ -183,11 +183,12 @@ class TestSpecialFunctions:
         values = [chi_square_sf(float(x), 1) for x in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_chi_square_df1_within_conditioning_bound(self):
-        # The df=1 tail against mpmath's regularized upper incomplete gamma
-        # Q(1/2, x/2). Its relative condition number in x is about x/2, so
-        # (x + 16) ulps of 1.0 allows for that and some slack; x whose true
-        # tail is subnormal are left out.
+    @staticmethod
+    def _assert_within_conditioning_bound(df):
+        # The closed-form tail against mpmath's regularized upper incomplete
+        # gamma Q(df/2, x/2). Its relative condition number in x is
+        # about x/2, so (x + 16) ulps of 1.0 allows for that and some slack;
+        # x whose true tail is subnormal are left out.
         import mpmath
 
         rng = np.random.default_rng(23)
@@ -197,24 +198,39 @@ class TestSpecialFunctions:
         checked = 0
         with mpmath.workdps(40):
             for x in map(float, xs):
-                want = mpmath.gammainc(mpmath.mpf(0.5), mpmath.mpf(x) / 2, mpmath.inf,
-                                       regularized=True)
+                want = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
                 if want < mpmath.mpf(2) ** -1022:
                     continue
-                error = abs((mpmath.mpf(chi_square_sf(x, 1)) - want) / want)
+                error = abs((mpmath.mpf(chi_square_sf(x, df)) - want) / want)
                 assert error <= (x + 16) * 2.0**-52, x
                 checked += 1
         assert checked > 3900
 
-    @pytest.mark.parametrize("start", [0.0, 1.0, 2.0, 2.99, 3.0, 5.0, 10.0, 100.0])
-    def test_chi_square_df1_monotone_between_neighbouring_floats(self, start):
+    @staticmethod
+    def _assert_monotone_walk(df, start):
         # A larger X^2 never gets a larger p; neighbouring floats may tie.
-        x, previous = start, chi_square_sf(start, 1)
+        x, previous = start, chi_square_sf(start, df)
         for _ in range(20_000):
             x = math.nextafter(x, math.inf)
-            value = chi_square_sf(x, 1)
+            value = chi_square_sf(x, df)
             assert value <= previous, x
             previous = value
+
+    def test_chi_square_df1_within_conditioning_bound(self):
+        self._assert_within_conditioning_bound(1)
+
+    def test_chi_square_df2_within_conditioning_bound(self):
+        self._assert_within_conditioning_bound(2)
+
+    @pytest.mark.parametrize("start", [0.0, 1.0, 2.0, 2.99, 3.0, 5.0, 10.0, 100.0])
+    def test_chi_square_df1_monotone_between_neighbouring_floats(self, start):
+        self._assert_monotone_walk(1, start)
+
+    # 3.9, 4.0 and 6.0 straddle x = 4, where the incomplete gamma at df = 2
+    # would switch from its series to its continued fraction.
+    @pytest.mark.parametrize("start", [0.0, 1.0, 3.9, 4.0, 6.0, 10.0, 100.0])
+    def test_chi_square_df2_monotone_between_neighbouring_floats(self, start):
+        self._assert_monotone_walk(2, start)
 
     def test_normal_sf_values(self):
         assert normal_sf(0.0) == 0.5

@@ -3,12 +3,14 @@ import io
 import itertools
 import json
 import tempfile
+import tracemalloc
 import unicodedata
 from collections import Counter
 from dataclasses import asdict
 from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -265,10 +267,13 @@ def _counts_from_ids(corpus):
 @given(shard_lists)
 @settings(max_examples=60)
 def test_count_shards_equals_per_shard_counts_merged(config, shards):
-    words, bigrams = _counts_from_ids(_token_ids(iter(shards), config))
+    token_ids = _token_ids(iter(shards), config)
+    words, bigrams = _counts_from_ids(token_ids)
     ref_words, ref_bigrams = _reference_count_shards(shards, config)
     assert list(words.items()) == list(ref_words.items())
     assert _items(bigrams) == _items(ref_bigrams)
+    # Word ids follow first occurrence, whatever the hash seed.
+    assert token_ids.names == list(ref_words)
 
 
 @pytest.mark.parametrize("sentence_reset", [False, True])
@@ -284,6 +289,29 @@ def test_count_shards_normalises_each_distinct_run_once(sentence_reset, monkeypa
     shards = ["Tea tea. «Tea»\ntea — tea\n", "", "tea. Tea\n— strong tea\n", "Tea\nTea tea."]
     _token_ids(shards, TokenizerConfig(sentence_reset=sentence_reset))
     assert calls == Counter({raw: 1 for shard in shards for raw in shard.split()})
+
+
+@pytest.mark.parametrize("sentence_reset", [False, True])
+def test_token_ids_memory_per_token_is_bounded(sentence_reset):
+    # 200,000 Zipf tokens over 20,000 words in 8 texts. The peak is the
+    # current text's runs as str objects (about 57 bytes each) plus the id
+    # arrays kept so far: 52.4 bytes a token here. The bound is what an
+    # earlier version, which hashed each token twice and kept word and unit
+    # ids per text, measured (59.2), rounded up; it leaves a 15% margin.
+    rng = np.random.default_rng(24)
+    inverse_ranks = 1.0 / np.arange(1, 20_001)
+    ids = rng.choice(20_000, size=200_000, p=inverse_ranks / inverse_ranks.sum())
+    words = np.array([f"w{i}" for i in range(20_000)], object)
+    texts = [" ".join(words[chunk].tolist()) for chunk in np.array_split(ids, 8)]
+    config = TokenizerConfig(sentence_reset=sentence_reset)
+    _token_ids(texts[:1], config)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        _token_ids(texts, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / len(ids) < 60
 
 
 NORMALISE_CONFIGS = [TokenizerConfig(lowercase, strip) for lowercase, strip
