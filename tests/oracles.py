@@ -1,6 +1,6 @@
 """Independent slow-but-sure reference implementations used only by tests.
 
-These deliberately avoid the library's log-space / incomplete-gamma code
+These deliberately avoid the library's log-space and closed-form tail code
 paths: the hypergeometric oracle works in exact big-integer rationals, and
 the tail-probability oracles go through mpmath / numerical quadrature.
 """

@@ -159,6 +159,13 @@ class TestSpecialFunctions:
         with pytest.raises(ValueError, match="degrees of freedom must be positive, got 0"):
             chi_square_sf(1.0, 0)
 
+    def test_chi_square_rejects_a_float_df(self):
+        with pytest.raises(ValueError, match="degrees of freedom must be an integer, got 2.5"):
+            chi_square_sf(1.0, 2.5)
+
+    def test_chi_square_takes_a_numpy_integer_df(self):
+        assert chi_square_sf(3.0, np.int64(3)) == chi_square_sf(3.0, 3)
+
     def test_chi_square_matches_quadrature(self):
         for x in np.linspace(0.1, 40.0, 25):
             assert chi_square_sf(float(x), 1) == pytest.approx(
@@ -222,20 +229,51 @@ class TestSpecialFunctions:
     def test_chi_square_df2_within_conditioning_bound(self):
         self._assert_within_conditioning_bound(2)
 
+    @pytest.mark.parametrize("df", [3, 4, 5, 10, 30])
+    def test_chi_square_higher_df_within_conditioning_bound(self, df):
+        self._assert_within_conditioning_bound(df)
+
+    def test_chi_square_at_a_large_df_sums_every_term(self):
+        # 50,000 terms at df = 10**5, near the median, where a capped iteration
+        # stops short. The terms' exponents reach 5e5, whose rounding alone
+        # allows a relative error near 1e-10.
+        import mpmath
+
+        with mpmath.workdps(40):
+            want = mpmath.gammainc(mpmath.mpf(10**5) / 2, mpmath.mpf(10**5) / 2, mpmath.inf,
+                                   regularized=True)
+            assert abs((chi_square_sf(1e5, 10**5) - want) / want) < 1e-9
+
+    def test_chi_square_df2_is_one_exp(self):
+        rng = np.random.default_rng(29)
+        for x in map(float, rng.uniform(0.0, 100.0, 100_000)):
+            assert chi_square_sf(x, 2) == math.exp(-x / 2.0), x
+
     @pytest.mark.parametrize("start", [0.0, 1.0, 2.0, 2.99, 3.0, 5.0, 10.0, 100.0])
     def test_chi_square_df1_monotone_between_neighbouring_floats(self, start):
         self._assert_monotone_walk(1, start)
 
-    # 3.9, 4.0 and 6.0 straddle x = 4, where the incomplete gamma at df = 2
-    # would switch from its series to its continued fraction.
+    # 3.9, 4.0 and 6.0 straddle x = df + 2, where incomplete-gamma codes
+    # commonly switch from a power series to a continued fraction, and where
+    # such a switch rose between neighbouring floats at df = 2 and 3. At
+    # df >= 4 the finite sum's rounded terms may rise by an ulp or two, so
+    # no walk is claimed there.
     @pytest.mark.parametrize("start", [0.0, 1.0, 3.9, 4.0, 6.0, 10.0, 100.0])
     def test_chi_square_df2_monotone_between_neighbouring_floats(self, start):
         self._assert_monotone_walk(2, start)
+
+    @pytest.mark.parametrize("start", [3.9, 4.0, 6.0, 100.0])
+    def test_chi_square_df3_monotone_between_neighbouring_floats(self, start):
+        self._assert_monotone_walk(3, start)
 
     def test_normal_sf_values(self):
         assert normal_sf(0.0) == 0.5
         assert normal_sf(1.959964) == pytest.approx(0.025, abs=1e-6)
         assert normal_sf(1.959964) == pytest.approx(normal_sf_oracle(1.959964), abs=1e-12)
+
+    def test_normal_sf_rejects_nan(self):
+        with pytest.raises(ValueError, match="must be a number, got nan"):
+            normal_sf(math.nan)
 
     def test_normal_sf_extreme_tail_finite(self):
         tail = normal_sf(40.0)
