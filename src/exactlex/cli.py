@@ -151,27 +151,21 @@ def _read_corpus(args) -> _TokenIds:
     return _token_ids(map(read_text, args.input), _config(args))
 
 
-def _record_row(record: AssociationRecord) -> list[str]:
-    def prob(p: float | None) -> str:
-        return "" if p is None else f"{p:.4f}"
-
-    def rank(r: int | None) -> str:
-        return "" if r is None else str(r)
-
-    return [
-        record.word, str(record.n11), f"{record.m11:.2f}",
-        prob(record.exact_left_p), prob(record.exact_right_p),
-        prob(record.exact_two_p), rank(record.exact_rank),
-        prob(record.g2_p), rank(record.g2_rank),
-        prob(record.x2_p), rank(record.x2_rank),
-        prob(record.t_p), rank(record.t_rank),
-    ]
+# One row of the scan TSV, per field of ASSOC_TSV_COLUMNS.
+_TSV_FIELDS = ("%s", "%d", "%.2f", "%.4f", "%.4f", "%.4f", "%d", "%.4f", "%d", "%.4f", "%d", "%.4f", "%d")
+_TSV_ROW = "\t".join(_TSV_FIELDS) + "\n"
 
 
 def records_to_tsv(records: list[AssociationRecord]) -> str:
-    lines = ["\t".join(ASSOC_TSV_COLUMNS)]
-    lines += ["\t".join(_record_row(r)) for r in records]
-    return "\n".join(lines) + "\n"
+    lines = ["\t".join(ASSOC_TSV_COLUMNS) + "\n"]
+    for r in records:
+        row = (r.word, r.n11, r.m11, r.exact_left_p, r.exact_right_p, r.exact_two_p, r.exact_rank,
+               r.g2_p, r.g2_rank, r.x2_p, r.x2_rank, r.t_p, r.t_rank)
+        try:
+            lines.append(_TSV_ROW % row)
+        except TypeError:  # %d and %.4f refuse None: a refused test leaves its fields empty
+            lines.append("\t".join("" if v is None else f % v for f, v in zip(_TSV_FIELDS, row)) + "\n")
+    return "".join(lines)
 
 
 def records_to_json(records: list[AssociationRecord]) -> str:

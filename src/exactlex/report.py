@@ -1,6 +1,9 @@
 """Fixed-layout text report for a single 2x2 table, in the style of classic
 cross-tabulation output: a frequency/expected/deviation/percent grid followed
 by the statistics list, sample size, and a small-expected-count warning.
+Each block of the report is one `%` template, whose variable column widths
+are `%*` fields; the values keep Python's correctly rounded half-even
+formatting, the same digits an f-string gives.
 `_score_columns` gives the same tests' p-values over many tables, as rows
 in SCORE_ROWS order, to `assoc` and `simulate`: the report's `Battery` and
 `fisher_exact` take one table, the scorer's `asymptotic._battery_columns`
@@ -78,98 +81,99 @@ def _score_columns(n11: Sequence[int], row1: Sequence[int], col1: Sequence[int],
     return np.array([rows[name] for name in SCORE_ROWS], dtype=np.float64)[:, [index[key] for key in keys]]
 
 
-def _fmt(value: float, decimals: int, width: int = 10) -> str:
-    return f"{value:>{width}.{decimals}f}"
+# The grid and the statistics header, one template with a block per row of
+# the table. Labels pad to 12 characters; every %*d, %*s and %*.2f takes its
+# column's width before its value.
+_ROW = """Frequency   %*d%*d%*d
+Expected    %*s%*s
+Deviation   %*s%*s
+Percent     %*.2f%*.2f%*.2f
+"""
+_HEAD = f"""TABLE OF X BY Y
 
+            %*s%*s%*s
+row1
+{_ROW}row2
+{_ROW}Total       %*d%*d%*d
+            %*.2f%*.2f%*.2f
 
-def _width(least: int, *cells: str) -> int:
-    """A column's width: `least`, or one more than its widest cell where that
-    cell would fill `least`, so that neighbouring values never run together."""
-    return max(least, 1 + max(map(len, cells), default=0))
+STATISTICS FOR TABLE OF X BY Y
 
+Statistic                       DF%*s      Prob
+"""
 
-def _grid(table: ContingencyTable2x2, expected) -> list[str]:
-    n = table.total
-    rows = [
-        ("row1", (table.n11, table.n12), (expected.m11, expected.m12), table.row1),
-        ("row2", (table.n21, table.n22), (expected.m21, expected.m22), table.row2),
-    ]
-    # Each row's expected counts and deviations, formatted once.
-    cells = [(f"{exp[0]:.{DECIMALS}f}", f"{exp[1]:.{DECIMALS}f}",
-              f"{obs[0] - exp[0]:.{DECIMALS}f}", f"{obs[1] - exp[1]:.{DECIMALS}f}") for _, obs, exp, _ in rows]
-    (m11, m12, d11, d12), (m21, m22, d21, d22) = cells
-    col1, col2, total = str(table.col1), str(table.col2), str(n)
-    # A column's total is its widest count, and no percent reaches 10
-    # characters, so only totals, expected counts and deviations can widen
-    # a column.
-    w1 = _width(10, col1, m11, d11, m21, d21)
-    w2 = _width(10, col2, m12, d12, m22, d22)
-    w3 = _width(10, total)
-    lines = [f"{'':12}{'col1'.rjust(w1)}{'col2'.rjust(w2)}{'Total'.rjust(w3)}"]
-    for (name, obs, _, row_total), (m1, m2, d1, d2) in zip(rows, cells):
-        lines += [
-            name,
-            f"{'Frequency':<12}{str(obs[0]).rjust(w1)}{str(obs[1]).rjust(w2)}{str(row_total).rjust(w3)}",
-            f"{'Expected':<12}{m1.rjust(w1)}{m2.rjust(w2)}",
-            f"{'Deviation':<12}{d1.rjust(w1)}{d2.rjust(w2)}",
-            f"{'Percent':<12}{100 * obs[0] / n:>{w1}.2f}{100 * obs[1] / n:>{w2}.2f}"
-            f"{100 * row_total / n:>{w3}.2f}",
-        ]
-    lines.append(f"{'Total':<12}{col1.rjust(w1)}{col2.rjust(w2)}{total.rjust(w3)}")
-    lines.append(f"{'':12}{100 * table.col1 / n:>{w1}.2f}{100 * table.col2 / n:>{w2}.2f}{100.0:>{w3}.2f}")
-    return lines
+# Below the header, labels pad to 30 characters, or to 34 where no DF column
+# follows, and a probability is 10 wide after the Value column.
+_FISHER = """Fisher's Exact Test (Left)%*.*f
+                   (Right)%*.*f
+                   (2-Tail)%*.*f
+%-*s%10.*f
+"""
+_MEASURES = """Phi Coefficient                   %*.*f
+Contingency Coefficient           %*.*f
+Cramer's V                        %*.*f
+"""
 
 
 def render_freq_report(results: dict) -> str:
     """Render the full report for the output of compute_all().
 
-    Rendering is pure: the same results always give byte-identical text.
-    Rounding is Python's default half-even formatting.
+    Each fixed-layout block is one % template: the grid with the statistics
+    header, each statistics row, the Fisher block, the measures, the t row,
+    the sample size, the warning and each note. A column is 10 wide (the
+    Value column 12), or one more than its widest value where that value
+    would fill it, so that neighbouring values never run together; the
+    templates take these widths through %*. Rendering is pure: the same
+    results always give byte-identical text. Rounding is Python's correctly
+    rounded half-even formatting.
     """
     table: ContingencyTable2x2 = results["table"]
     fisher: FisherResult = results["fisher"]
-    lines = ["TABLE OF X BY Y", ""]
-    lines.extend(_grid(table, results["expected"]))
-    lines += ["", "STATISTICS FOR TABLE OF X BY Y", ""]
-    # The Value column is 12 wide unless a statistic fills that; the
-    # association measures lie in [-1, 1], so they never do.
-    values = {name: f"{results[name].statistic:.{DECIMALS}f}" for name in (*STAT_LABELS, "t_test")
-              if results[name] is not None}
-    width = _width(12, *values.values())
-    lines.append(f"{'Statistic':<30}{'DF':>4}{'Value'.rjust(width)}{'Prob':>10}")
-    for name, label in STAT_LABELS.items():
-        result = results[name]
-        if result is None:
-            lines.append(f"{label:<30}{'':>4}{' ' * width}{'--':>10}")
-        else:
-            lines.append(f"{label:<30}{result.df:>4}{values[name].rjust(width)}{_fmt(result.p_value, DECIMALS)}")
-    fisher_label = "Fisher's Exact Test (Left)"
-    lines.append(f"{fisher_label.ljust(34 + width)}{_fmt(fisher.left_p, DECIMALS)}")
-    lines.append(f"{'(Right)':>26}{' ' * (8 + width)}{_fmt(fisher.right_p, DECIMALS)}")
-    lines.append(f"{'(2-Tail)':>27}{' ' * (7 + width)}{_fmt(fisher.two_sided_p, DECIMALS)}")
-    lines.append(f"{f'P(n11 = {table.n11})'.ljust(34 + width)}{_fmt(fisher.point_p, DECIMALS)}")
+    expected = results["expected"]
+    n11, n12, n21, n22 = table.cells
+    row1, row2, col1, col2 = n11 + n12, n21 + n22, n11 + n21, n12 + n22
+    n = row1 + row2
+    m11, m12, m21, m22, d11, d12, d21, d22 = ["%.*f" % (DECIMALS, value) for value in (
+        expected.m11, expected.m12, expected.m21, expected.m22,
+        n11 - expected.m11, n12 - expected.m12, n21 - expected.m21, n22 - expected.m22)]
+    # A column's total is its widest count, and no percent reaches 10
+    # characters, so only totals, expected counts and deviations can widen
+    # a column.
+    w1 = 1 + max(9, len(str(col1)), len(m11), len(d11), len(m21), len(d21))
+    w2 = 1 + max(9, len(str(col2)), len(m12), len(d12), len(m22), len(d22))
+    w3 = 1 + max(9, len(str(n)))
+    # The association measures lie in [-1, 1], so only the statistics can
+    # widen the Value column.
+    tests = [results[name] for name in (*STAT_LABELS, "t_test")]
+    values = ["" if test is None else "%.*f" % (DECIMALS, test.statistic) for test in tests]
+    width = 1 + max(11, *map(len, values))
+    blocks = [_HEAD % (
+        w1, "col1", w2, "col2", w3, "Total",
+        w1, n11, w2, n12, w3, row1, w1, m11, w2, m12, w1, d11, w2, d12,
+        w1, 100 * n11 / n, w2, 100 * n12 / n, w3, 100 * row1 / n,
+        w1, n21, w2, n22, w3, row2, w1, m21, w2, m22, w1, d21, w2, d22,
+        w1, 100 * n21 / n, w2, 100 * n22 / n, w3, 100 * row2 / n,
+        w1, col1, w2, col2, w3, n, w1, 100 * col1 / n, w2, 100 * col2 / n, w3, 100.0,
+        width, "Value")]
+    for label, result, value in zip(STAT_LABELS.values(), tests, values):
+        blocks.append("%-30s%*s\n" % (label, 14 + width, "--") if result is None else
+                      "%-30s%4d%*s%10.*f\n" % (label, result.df, width, value, DECIMALS, result.p_value))
+    blocks.append(_FISHER % (18 + width, DECIMALS, fisher.left_p, 18 + width, DECIMALS, fisher.right_p,
+                             17 + width, DECIMALS, fisher.two_sided_p,
+                             34 + width, "P(n11 = %d)" % n11, DECIMALS, fisher.point_p))
     measures: AssociationMeasures | None = results["measures"]
     if measures is not None:
-        lines.append(f"{'Phi Coefficient':<34}{_fmt(measures.phi, DECIMALS, width)}")
-        lines.append(
-            f"{'Contingency Coefficient':<34}{_fmt(measures.contingency_coefficient, DECIMALS, width)}"
-        )
-        cramers_label = "Cramer's V"
-        lines.append(f"{cramers_label:<34}{_fmt(measures.cramers_v, DECIMALS, width)}")
-    t_result = results["t_test"]
+        blocks.append(_MEASURES % (width, DECIMALS, measures.phi,
+                                   width, DECIMALS, measures.contingency_coefficient,
+                                   width, DECIMALS, measures.cramers_v))
+    t_result = tests[-1]
     if t_result is not None:
-        lines.append(
-            f"{'T-Statistic (normal tail)':<34}{values['t_test'].rjust(width)}{_fmt(t_result.p_value, DECIMALS)}"
-        )
-    lines += ["", f"Sample Size = {table.total}"]
+        blocks.append("T-Statistic (normal tail)         %*s%10.*f\n"
+                      % (width, values[-1], DECIMALS, t_result.p_value))
+    blocks.append("\nSample Size = %d\n" % n)
     warning = results["warning"]
     if warning.triggered:
-        pct = f"{warning.percent:.0f}"
-        lines += [
-            "",
-            f"WARNING: {pct}% of the cells have expected counts less than 5. "
-            "Chi-Square may not be a valid test.",
-        ]
-    for note in results.get("notes", []):
-        lines += ["", f"NOTE: {note}"]
-    return "\n".join(lines) + "\n"
+        blocks.append("\nWARNING: %.0f%% of the cells have expected counts less than 5. "
+                      "Chi-Square may not be a valid test.\n" % warning.percent)
+    blocks += ["\nNOTE: %s\n" % note for note in results.get("notes", [])]
+    return "".join(blocks)

@@ -72,13 +72,6 @@ class TestTally:
     rejections: dict[float, int] = field(default_factory=dict)
     p_sum: float = 0.0
 
-    def record(self, p: float, alphas: tuple[float, ...]) -> None:
-        self.valid_trials += 1
-        self.p_sum += p
-        for alpha in alphas:
-            if p <= alpha:
-                self.rejections[alpha] = self.rejections.get(alpha, 0) + 1
-
     def rejection_rate(self, alpha: float) -> float:
         if self.valid_trials == 0:
             return 0.0
@@ -180,7 +173,8 @@ def calibration(
     for name, row in zip(TEST_NAMES, p_values):
         p = row[order]
         p = p[~np.isnan(p)]
-        # np.cumsum adds left to right from p[0], as TestTally.record does from 0.0: same bits.
+        # np.cumsum adds left to right from p[0], as a trial-by-trial loop adding each p
+        # to 0.0 would: same bits.
         tallies[name] = TestTally(
             len(p), {alpha: int(np.count_nonzero(p <= alpha)) for alpha in alphas},
             float(np.cumsum(p)[-1]) if len(p) else 0.0)

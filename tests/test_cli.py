@@ -174,6 +174,14 @@ def test_assoc_tsv_layout(tmp_path):
     assert re.fullmatch(r"[01]\.\d{4}", row[3])
 
 
+def test_assoc_tsv_leaves_refused_tests_empty(tmp_path):
+    # The one partner's table has a zero marginal, so X^2 and G^2 are refused.
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a b\n")
+    assert run(["assoc", "--input", str(corpus), "--second", "b"]) == (
+        0, "\t".join(ASSOC_TSV_COLUMNS) + "\na\t1\t1.00\t1.0000\t1.0000\t1.0000\t1\t\t\t\t\t0.5000\t1\n")
+
+
 def test_assoc_missing_word_exits_1(tmp_path, capsys):
     corpus = tmp_path / "c.txt"
     corpus.write_text("a b c\n")
@@ -421,6 +429,31 @@ def test_table_output_is_golden(argvs, digest):
         assert status == 0
         sha.update(text.encode("utf-8"))
     assert sha.hexdigest() == digest
+
+
+def _sweep_tables() -> list[tuple[int, int, int, int]]:
+    # 1,000 seeded tables with zero cells, zero marginals and n11 = 0, and a
+    # second row of up to 1e15, whose totals, expected counts, deviations and
+    # X^2 overflow the 10- and 12-wide columns. Row 1 stays at most 1e4, so
+    # every support is small.
+    rng = random.Random(26)
+    tables = []
+    while len(tables) < 1000:
+        top = 10 ** rng.randint(0, 15)
+        n11, n12 = (rng.choice((0, rng.randint(0, 9), rng.randint(0, 5000))) for _ in range(2))
+        n21, n22 = (rng.choice((0, rng.randint(0, 9), rng.randint(0, top), top)) for _ in range(2))
+        if n11 or n12 or n21 or n22:
+            tables.append((n11, n12, n21, n22))
+    return tables
+
+
+def test_report_sweep_is_golden():
+    # Taken from the f-string renderer, before each block of the report
+    # became one % template.
+    sha = hashlib.sha256()
+    for cells in _sweep_tables():
+        sha.update(render_freq_report(compute_all(make_table(*cells))).encode("utf-8"))
+    assert sha.hexdigest() == "19af450bc89a4477d72c644976767dab7fb385eebfb367e31e4ebb611197e650"
 
 
 # A valid argv per subcommand, as (flag, value) pairs; the fuzz below changes

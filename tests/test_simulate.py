@@ -145,20 +145,29 @@ def _reference_calibration(model, n_total, trials, alphas, seed):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     draws = rng.multinomial(n_total, model.probs, size=trials)
     tallies = {name: simulate.TestTally() for name in simulate.TEST_NAMES}
+
+    def record(name, p):
+        tally = tallies[name]
+        tally.valid_trials += 1
+        tally.p_sum += p
+        for alpha in alphas:
+            if p <= alpha:
+                tally.rejections[alpha] = tally.rejections.get(alpha, 0) + 1
+
     degenerate = 0
     for row in draws:
         table = ContingencyTable2x2(int(row[0]), int(row[1]), int(row[2]), int(row[3]))
         fisher = fisher_exact(table)
-        tallies["fisher_left"].record(fisher.left_p, alphas)
-        tallies["fisher_right"].record(fisher.right_p, alphas)
-        tallies["fisher_two"].record(fisher.two_sided_p, alphas)
+        record("fisher_left", fisher.left_p)
+        record("fisher_right", fisher.right_p)
+        record("fisher_two", fisher.two_sided_p)
         try:
-            tallies["x2"].record(asymptotic.pearson_x2(table).p_value, alphas)
-            tallies["g2"].record(asymptotic.likelihood_g2(table).p_value, alphas)
+            record("x2", asymptotic.pearson_x2(table).p_value)
+            record("g2", asymptotic.likelihood_g2(table).p_value)
         except DegenerateTableError:
             degenerate += 1
         try:
-            tallies["t"].record(asymptotic.t_test(table).p_value, alphas)
+            record("t", asymptotic.t_test(table).p_value)
         except UndefinedStatisticError:
             pass
     return CalibrationReport(trials, n_total, model, alphas, seed, simulate.RNG_ALGORITHM,
