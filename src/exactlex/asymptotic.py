@@ -6,12 +6,12 @@ the special functions (chi-square and normal upper tails) that turn
 statistics into p-values. Every chi-square test here has df = 1, whose tail
 is erfc(sqrt(x/2)). `chi_square_sf` takes any integer df >= 1 in closed
 form, as a finite sum of erfc and exp terms whose count grows with df, with
-no iteration to converge. `Battery` holds every formula for one
-table; the test functions are views of it that raise when the table refuses
-the test.
-`_battery_columns` takes Battery's expected n11 and its X^2, G^2 and t
-p-values over many tables at once, to the bit: the same float operations
-per table, mapped over columns.
+no iteration to converge.
+X^2, G^2 and t have one formula each, `_statistics`, which takes one table
+as Python ints. `Battery` holds every test on one table and reads those
+three from it; the test functions are views of Battery that raise when the
+table refuses the test. `_battery_columns` maps `_statistics` over many
+tables at once, for Battery's expected n11 and its X^2, G^2 and t p-values.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import index, mul, sub, truediv
+from itertools import chain, repeat
+from operator import index, sub
 
 import numpy as np
 
@@ -101,6 +101,37 @@ def normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
+def _statistics(n11: int, row1: int, col1: int, n: int) -> tuple[float, float, float, float]:
+    """The expected n11 and the X^2, G^2 and t statistics of the table
+    (n11, row1, col1, N), given as Python ints (so N may pass 2**63): NaN
+    for X^2 and G^2 where a marginal is zero, and for t where n11 = 0.
+
+    Each expected count m = row * col / N is Python's correctly rounded
+    int / int. Pearson's X^2 = sum (n - m)^2 / m and the likelihood ratio
+    G^2 = 2 sum n ln(n/m) are each one `math.fsum` over the cells; a zero
+    cell adds nothing to G^2 (the limit), and G^2 is clamped at 0. The
+    one-sample bigram t-statistic is (n11 - m11)/sqrt(n11): the sample
+    variance is approximated by the bigram's relative frequency, so t is
+    undefined at n11 = 0, and its large-sample limit is the standard normal.
+    """
+    row2, col2 = n - row1, n - col1
+    m11 = row1 * col1 / n
+    t = (n11 - m11) / math.sqrt(n11) if n11 else math.nan
+    # A zero marginal is the only way to a zero expected count: each other
+    # one is at least 1/N, which underflows only where N overflows a float.
+    if not (row1 and row2 and col1 and col2):
+        return m11, math.nan, math.nan, t
+    n12, n21 = row1 - n11, col1 - n11
+    n22, m12, m21, m22 = row2 - n21, row1 * col2 / n, row2 * col1 / n, row2 * col2 / n
+    x2 = math.fsum(((n11 - m11) ** 2 / m11, (n12 - m12) ** 2 / m12, (n21 - m21) ** 2 / m21,
+                    (n22 - m22) ** 2 / m22))
+    # A zero cell adds an exact 0: that changes no rounded sum but the sign
+    # of a zero one, and max(0.0, -0.0) is 0.0.
+    g2 = 2.0 * math.fsum((n11 and n11 * math.log(n11 / m11), n12 and n12 * math.log(n12 / m12),
+                          n21 and n21 * math.log(n21 / m21), n22 and n22 * math.log(n22 / m22)))
+    return m11, x2, max(0.0, g2), t
+
+
 def _refusable(method):
     """A test evaluated on first access, or None when the table has a note against it."""
     @functools.wraps(method)
@@ -116,61 +147,36 @@ class Battery:
     each a result, or None when the table refuses that test; `notes` then maps
     the test's name to the reason. The reasons are known from the table alone
     (a zero marginal, or n11 = 0), so `notes` is complete at construction.
-    The expected counts, X^2, G^2 and t are computed at construction.
-    Yates, Mantel-Haenszel and the measures are each computed on first
-    access, and the last two build on the X^2 already taken.
+    The expected counts are computed at construction, and so are X^2, G^2
+    and t, from `_statistics`. Yates, Mantel-Haenszel and the measures are
+    each computed on first access, and the last two build on the X^2
+    already taken.
 
     One table's callers read it: `report.compute_all` (the `test` and `tea`
     reports) and the test functions below. Callers that score many tables
-    (`assoc`, `simulate`) read `_battery_columns` instead, which gives the
-    same bits, and whose equality tests take Battery as the reference.
+    (`assoc`, `simulate`) read `_battery_columns` instead, which maps the
+    same `_statistics` over them.
     """
 
     def __init__(self, table: ContingencyTable2x2) -> None:
         self.table = table
         self.notes: dict[str, str] = {}
-        # A zero marginal is the only way to a zero expected count: for one to
-        # underflow, another would first overflow in expected_counts.
         if min(table.row1, table.row2, table.col1, table.col2) == 0:
             self.notes.update(dict.fromkeys(("pearson", "g2", "yates", "mantel_haenszel"), DEGENERATE_NOTE))
             self.notes["measures"] = "degenerate table: a marginal total is zero"
         if table.n11 == 0:
             self.notes["t_test"] = T_UNDEFINED_NOTE
         self.expected: ExpectedTable = expected_counts(table)
-        self.pearson = None if "pearson" in self.notes else self._pearson()
-        self.g2 = None if "g2" in self.notes else self._g2()
-        self.t_test = None if "t_test" in self.notes else self._t_test()
-
-    def _observed_expected(self):
-        return zip(self.table.cells, self.expected.cells)
-
-    def _pearson(self) -> TestResult:
-        """Pearson's X^2 = sum (observed - expected)^2 / expected."""
-        stat = math.fsum((n - m) ** 2 / m for n, m in self._observed_expected())
-        return TestResult(stat, 1, chi_square_sf(stat, 1))
-
-    def _g2(self) -> TestResult:
-        """Likelihood-ratio G^2 = 2 sum n ln(n/m); zero cells contribute zero (the limit)."""
-        stat = 2.0 * math.fsum(n * math.log(n / m) for n, m in self._observed_expected() if n > 0)
-        stat = max(0.0, stat)
-        return TestResult(stat, 1, chi_square_sf(stat, 1))
-
-    def _t_test(self) -> TestResult:
-        """One-sample t-statistic for bigram data, (n11 - m11)/sqrt(n11).
-
-        The sample variance is approximated by the bigram's relative frequency,
-        so the statistic is undefined when n11 = 0. Significance is the
-        one-sided upper tail of the standard normal (the statistic's
-        large-sample limit).
-        """
-        n11 = self.table.n11
-        stat = (n11 - self.expected.m11) / math.sqrt(n11)
-        return TestResult(stat, None, normal_sf(stat))
+        _, x2, g2, t = _statistics(table.n11, table.row1, table.col1, table.total)
+        self.pearson, self.g2 = (None if "pearson" in self.notes else TestResult(s, 1, chi_square_sf(s, 1))
+                                 for s in (x2, g2))
+        self.t_test = None if "t_test" in self.notes else TestResult(t, None, normal_sf(t))
 
     @_refusable
     def yates(self) -> TestResult:
         """Continuity-adjusted X^2: each |n - m| shrunk by 0.5 (clamped at 0) before squaring."""
-        stat = math.fsum(max(0.0, abs(n - m) - 0.5) ** 2 / m for n, m in self._observed_expected())
+        stat = math.fsum(max(0.0, abs(n - m) - 0.5) ** 2 / m
+                         for n, m in zip(self.table.cells, self.expected.cells))
         return TestResult(stat, 1, chi_square_sf(stat, 1))
 
     @_refusable
@@ -198,52 +204,27 @@ def _battery_columns(n11: Sequence[int], row1: Sequence[int], col1: Sequence[int
     ints (so N may pass 2**63): one float64 row per name ("m11", "x2", "g2",
     "t") with one value per table, NaN where Battery gives None.
 
-    Each value is Battery's to the bit. Its formulas are mapped over the
-    columns with Battery's float operations: the expected counts as Python's
-    correctly rounded int / int, each (n - m) ** 2 through libm's pow, one
-    `math.fsum` per table for X^2 and one for G^2, libm's log and erfc.
-    Refusals are decided from the integer marginals, and the X^2 and G^2
-    tails are `chi_square_sf`'s at df = 1: one erfc(sqrt(x/2)) per value.
-    A table that `ContingencyTable2x2` refuses (a cell not an int, a
-    negative cell, or no observations) is built as one, so the first such
-    raises its error.
+    Each value is Battery's, being `_statistics` of the table and then
+    `chi_square_sf(x, 1)` of X^2 and G^2 and `normal_sf` of t where they
+    are defined. A table that `ContingencyTable2x2` refuses (a cell not an
+    int, a negative cell, or no observations) is built as one, so the first
+    such raises its error.
     """
     n12, n21 = list(map(sub, row1, n11)), list(map(sub, col1, n11))
-    row2, col2 = list(map(sub, n_total, row1)), list(map(sub, n_total, col1))
-    cells = (n11, n12, n21, list(map(sub, row2, n21)))
+    cells = (n11, n12, n21, list(map(sub, map(sub, n_total, row1), n21)))
     # Nonnegative cells sum to N, so they are all zero exactly where N is.
     if n11 and ({int} != set(map(type, chain(*cells))) or min(map(min, cells)) < 0
                 or 0 in n_total):
         for table in zip(*cells):
             ContingencyTable2x2(*table)
-    m11 = list(map(truediv, map(mul, row1, col1), n_total))
-    refused = np.full(len(m11), math.nan)
-    rows = {"m11": np.array(m11, dtype=np.float64), "x2": refused.copy(), "g2": refused.copy(),
-            "t": refused}
-
-    # X^2 and G^2 need four nonzero marginals. A zero cell, which Battery leaves out
-    # of G^2's sum, adds 0 * ln(1.0) = 0.0 here: that changes no rounded sum
-    # but the sign of a zero one, and max(0.0, -0.0) is 0.0.
-    live = list(map(bool, map(min, row1, row2, col1, col2)))
-    expected = [list(compress(m11, live))] + [
-        list(map(truediv, map(mul, compress(r, live), compress(c, live)), compress(n_total, live)))
-        for r, c in ((row1, col2), (row2, col1), (row2, col2))]
-    x2_terms, g2_terms = [], []
-    for n, m in zip((list(compress(cell, live)) for cell in cells), expected):
-        x2_terms.append(map(truediv, map(pow, map(sub, n, m), repeat(2)), m))
-        g2_terms.append(map(mul, n, map(math.log, [k / e if k else 1.0 for k, e in zip(n, m)])))
-    x2 = list(map(math.fsum, zip(*x2_terms)))
-    g2 = [max(0.0, 2.0 * s) for s in map(math.fsum, zip(*g2_terms))]
-    tails = list(map(chi_square_sf, x2 + g2, repeat(1)))
-    rows["x2"][live], rows["g2"][live] = tails[:len(x2)], tails[len(x2):]
-
-    # normal_sf(z) = 0.5 erfc(z / sqrt 2) of z = (n11 - m11) / sqrt(n11), where n11 > 0.
-    has_n11 = list(map(bool, n11))
-    k = list(compress(n11, has_n11))
-    z = map(truediv, map(sub, k, compress(m11, has_n11)), map(math.sqrt, k))
-    erfc = map(math.erfc, map(truediv, z, repeat(math.sqrt(2.0))))
-    rows["t"][has_n11] = 0.5 * np.array(list(erfc), dtype=np.float64)
-    return rows
+    statistics = chain.from_iterable(map(_statistics, n11, row1, col1, n_total))
+    rows = np.fromiter(statistics, np.float64, 4 * len(n11)).reshape(-1, 4).T
+    m11, x2, g2, t = rows
+    live, has_n11 = ~np.isnan(x2), ~np.isnan(t)
+    x2[live] = list(map(chi_square_sf, x2[live].tolist(), repeat(1)))
+    g2[live] = list(map(chi_square_sf, g2[live].tolist(), repeat(1)))
+    t[has_n11] = list(map(normal_sf, t[has_n11].tolist()))
+    return dict(zip(("m11", "x2", "g2", "t"), rows))
 
 
 def _view(table: ContingencyTable2x2, name: str, error: type[ExactLexError]):

@@ -5,9 +5,11 @@ Each block of the report is one `%` template, whose variable column widths
 are `%*` fields; the values keep Python's correctly rounded half-even
 formatting, the same digits an f-string gives.
 `_score_columns` gives the same tests' p-values over many tables, as rows
-in SCORE_ROWS order, to `assoc` and `simulate`: the report's `Battery` and
-`fisher_exact` take one table, the scorer's `asymptotic._battery_columns`
-and `exact._fisher_batch` take all of them at once, to the same bits."""
+in SCORE_ROWS order, to `assoc` and `simulate`. The report's `Battery` and
+the scorer's `asymptotic._battery_columns` read X^2, G^2 and t from one
+per-table formula, `asymptotic._statistics`; the report's `fisher_exact`
+takes one table and the scorer's `exact._fisher_batch` all of them at once,
+to the same bits."""
 
 from __future__ import annotations
 

@@ -471,6 +471,46 @@ def test_battery_columns_equal_battery_on_a_seeded_batch():
         assert [None if math.isnan(v) else v.hex() for v in values] == \
             [None if v is None else v.hex() for v in want]
         statistics += [r.statistic for r in (tests.pearson, tests.g2) if r is not None]
-    # Statistics below and above x = 3, and N past 2**63.
+    # Statistics on both sides of x = 3, whose df = 1 tail is 0.083: tables near
+    # independence and tables far from it; and N past 2**63.
     assert min(statistics) < 3.0 < max(statistics)
     assert sum(n >= 2**63 for *_, n in tables) >= 500
+
+
+def test_statistics_match_exact_arithmetic_on_a_seeded_batch():
+    # X^2 and t's numerator n11 - m11 in exact rationals (m = row * col / N),
+    # G^2 and t's sqrt(n11) through mpmath at 60 digits. Each error is at
+    # most 4 * 2**-53 * S, where S adds up the magnitudes the float
+    # operations round: for X^2, X^2 + sum [(|k - m| + k + m) |k - m|
+    # + (k + m)**2 * 2**-53] / m; for G^2, 2 sum_{k > 0} k (|ln(k/m)| + 1);
+    # for t, (|n11 - m11| + n11 + m11) / sqrt(n11).
+    import mpmath
+    from fractions import Fraction
+
+    eps = Fraction(1, 2**53)
+    checked = Counter()
+    with mpmath.workdps(60):
+        for n11, row1, col1, n in _seeded_tables(5, 2400):
+            table = make_table(n11, row1 - n11, col1 - n11, n - row1 - col1 + n11)
+            m11 = Fraction(row1 * col1, n)
+            if n11:
+                root, diff = mpmath.sqrt(n11), n11 - m11
+                want = mpmath.mpf(diff.numerator) / diff.denominator / root
+                bound = 4 * eps * (abs(diff) + n11 + m11)
+                bound = mpmath.mpf(bound.numerator) / bound.denominator / root
+                assert abs(t_test(table).statistic - want) <= bound
+                checked["t"] += 1
+            rows, cols = (row1, n - row1), (col1, n - col1)
+            if 0 in rows + cols:
+                continue
+            expected = [Fraction(r * c, n) for r in rows for c in cols]
+            cells = list(zip(table.cells, expected))
+            x2 = sum((k - m) ** 2 / m for k, m in cells)
+            scale = x2 + sum(((abs(k - m) + k + m) * abs(k - m) + (k + m) ** 2 * eps) / m for k, m in cells)
+            assert abs(Fraction(pearson_x2(table).statistic) - x2) <= 4 * eps * scale
+            logs = [(k, mpmath.log(k * m.denominator / mpmath.mpf(m.numerator))) for k, m in cells if k]
+            g2 = 2 * mpmath.fsum(k * log for k, log in logs)
+            scale = 2 * mpmath.fsum(k * (abs(log) + 1) for k, log in logs)
+            assert abs(likelihood_g2(table).statistic - g2) <= 4 * mpmath.mpf(2) ** -53 * scale
+            checked["x2, g2"] += 1
+    assert min(checked.values()) >= 1500
