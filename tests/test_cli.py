@@ -469,7 +469,8 @@ _FUZZ_BASE = {
                  ("--alpha", "0.05"), ("--seed", "1")],
     "tea": [],
 }
-_FUZZ_VALUES = ["-1", "0", "0.5", "nan", "-inf", "1e30", str(10**30), "tea"]
+# " 7" to "007" probe where `test`'s digit check hands a cell to argparse.
+_FUZZ_VALUES = ["-1", "0", "0.5", "nan", "-inf", "1e30", str(10**30), "tea", " 7", "+7", "7_0", "\u0667", "007"]
 _FUZZ_STDIN = st.one_of(
     st.just(b""),
     st.just(b"strong tea. black tea. strong tea!\n"),
@@ -563,9 +564,33 @@ _VALID_TEST = ["test", "--n11", "1", "--n12", "1", "--n21", "1", "--n22", "1"]
     ["tea", "--"],
     ["count", "--input", "--"],
     _VALID_TEST + ["--", "--"],
+    # A cell value that is not ASCII digits, or has more digits than int()
+    # converts, is left to argparse.
+    *(_VALID_TEST[:4] + [value] + _VALID_TEST[5:] for value in (
+        " 7", "+7", "7_0", "\u0667", "007", "-0", "7\n", "\u00b2", "", "7" * 4301)),
+    ["test", "--n22", "4", "--n12", "2", "--n11", "1", "--n21", "3"],
+    ["test", "--format", "json", "--n11", "1", "--n12", "2", "--n21", "3", "--n22", "4"],
+    _VALID_TEST + ["--n11", "2"],  # a repeated flag
+    _VALID_TEST + ["--n11", "x"],
+    ["test", "--n11", "x"] + _VALID_TEST[1:],
+    ["test", "--n11=5"] + _VALID_TEST[3:],
+    _VALID_TEST + ["--form", "json"],
+    _VALID_TEST + ["--format", "xml"],
 ])
 def test_one_pass_parse_equals_two_level_parse(argv):
     _assert_one_pass_parse_is_two_level_parse(argv)
+
+
+@pytest.mark.parametrize("extra", [[], ["--format", "json"]])
+def test_canonical_test_call_builds_no_parser(extra):
+    # Each cell named once as ASCII digits: read without argparse, and the
+    # same bytes as the same table spelled so that argparse must parse it.
+    cells = ["--n11", "17", "--n12", "229", "--n21", "935", "--n22", "1381647"]
+    cli._parser.cache_clear()
+    direct = run(["test", *cells, *extra])
+    assert cli._parser.cache_info().currsize == 0
+    assert direct == run(["test", "--n11=17", *cells[2:], *extra])
+    assert cli._parser.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("subcommand", sorted(_FUZZ_BASE))
