@@ -8,16 +8,17 @@ is erfc(sqrt(x/2)). `chi_square_sf` takes any integer df >= 1 in closed
 form, as a finite sum of erfc and exp terms whose count grows with df, with
 no iteration to converge.
 X^2, G^2 and t have one formula each, `_statistics`, which takes one table
-as Python ints. `Battery` holds every test on one table and reads those
-three from it; the test functions are views of Battery that raise when the
-table refuses the test. `_battery_columns` maps `_statistics` over many
-tables at once, for Battery's expected n11 and its X^2, G^2 and t p-values.
+as Python ints. `Battery` takes every test on one table when it is built,
+reading those three from it; the test functions are views of Battery that
+raise when the table refuses the test. `_battery_columns` maps
+`_statistics` over many tables at once, for Battery's expected n11 and its
+X^2, G^2 and t p-values.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -132,69 +133,53 @@ def _statistics(n11: int, row1: int, col1: int, n: int) -> tuple[float, float, f
     return m11, x2, max(0.0, g2), t
 
 
-def _refusable(method):
-    """A test evaluated on first access, or None when the table has a note against it."""
-    @functools.wraps(method)
-    def evaluate(self):
-        return None if method.__name__ in self.notes else method(self)
-    return functools.cached_property(evaluate)
-
-
 class Battery:
-    """Every asymptotic test on one table.
+    """Every asymptotic test on one table, each taken once, at construction.
 
     `pearson`, `g2`, `yates`, `mantel_haenszel`, `t_test` and `measures` are
     each a result, or None when the table refuses that test; `notes` then maps
-    the test's name to the reason. The reasons are known from the table alone
-    (a zero marginal, or n11 = 0), so `notes` is complete at construction.
-    The expected counts are computed at construction, and so are X^2, G^2
-    and t, from `_statistics`. Yates, Mantel-Haenszel and the measures are
-    each computed on first access, and the last two build on the X^2
-    already taken.
+    the test's name to the reason, a zero marginal or n11 = 0. `expected`
+    holds the expected counts. X^2, G^2 and t come from `_statistics`, Yates
+    from the cells and the expected counts, and Mantel-Haenszel and the
+    measures build on that X^2.
 
     One table's callers read it: `report.compute_all` (the `test` and `tea`
-    reports) and the test functions below. Callers that score many tables
-    (`assoc`, `simulate`) read `_battery_columns` instead, which maps the
-    same `_statistics` over them.
+    reports, which print every result) and the test functions below.
+    Callers that score many tables (`assoc`, `simulate`) read
+    `_battery_columns` instead, which maps the same `_statistics` over them.
     """
 
     def __init__(self, table: ContingencyTable2x2) -> None:
         self.table = table
         self.notes: dict[str, str] = {}
-        if min(table.row1, table.row2, table.col1, table.col2) == 0:
+        row1, row2, col1, col2, n = table.row1, table.row2, table.col1, table.col2, table.total
+        if min(row1, row2, col1, col2) == 0:
             self.notes.update(dict.fromkeys(("pearson", "g2", "yates", "mantel_haenszel"), DEGENERATE_NOTE))
             self.notes["measures"] = "degenerate table: a marginal total is zero"
         if table.n11 == 0:
             self.notes["t_test"] = T_UNDEFINED_NOTE
         self.expected: ExpectedTable = expected_counts(table)
-        _, x2, g2, t = _statistics(table.n11, table.row1, table.col1, table.total)
-        self.pearson, self.g2 = (None if "pearson" in self.notes else TestResult(s, 1, chi_square_sf(s, 1))
-                                 for s in (x2, g2))
+        _, x2, g2, t = _statistics(table.n11, row1, col1, n)
         self.t_test = None if "t_test" in self.notes else TestResult(t, None, normal_sf(t))
-
-    @_refusable
-    def yates(self) -> TestResult:
-        """Continuity-adjusted X^2: each |n - m| shrunk by 0.5 (clamped at 0) before squaring."""
-        stat = math.fsum(max(0.0, abs(n - m) - 0.5) ** 2 / m
-                         for n, m in zip(self.table.cells, self.expected.cells))
-        return TestResult(stat, 1, chi_square_sf(stat, 1))
-
-    @_refusable
-    def mantel_haenszel(self) -> TestResult:
-        """Mantel-Haenszel chi-square: (n - 1)/n times Pearson's X^2."""
-        n = self.table.total
-        stat = (n - 1) / n * self.pearson.statistic
-        return TestResult(stat, 1, chi_square_sf(stat, 1))
-
-    @_refusable
-    def measures(self) -> AssociationMeasures:
-        """Phi, the contingency coefficient, and signed Cramer's V."""
-        t = self.table
-        denom = math.sqrt(t.row1) * math.sqrt(t.row2) * math.sqrt(t.col1) * math.sqrt(t.col2)
-        phi = (t.n11 * t.n22 - t.n12 * t.n21) / denom
-        x2 = self.pearson.statistic
-        cc = math.sqrt(x2 / (x2 + t.total))
-        return AssociationMeasures(phi=phi, contingency_coefficient=cc, cramers_v=phi)
+        if "pearson" in self.notes:
+            self.pearson = self.g2 = self.yates = self.mantel_haenszel = self.measures = None
+            return
+        # Yates shrinks each |n - m| by 0.5 (clamped at 0) before squaring;
+        # Mantel-Haenszel is (n - 1)/n times X^2.
+        yates = math.fsum(max(0.0, abs(k - m) - 0.5) ** 2 / m for k, m in zip(table.cells, self.expected.cells))
+        self.pearson, self.g2, self.yates, self.mantel_haenszel = (
+            TestResult(s, 1, chi_square_sf(s, 1)) for s in (x2, g2, yates, (n - 1) / n * x2))
+        # Phi, the contingency coefficient sqrt(X^2/(X^2 + N)), and signed
+        # Cramer's V, which equals phi on a 2x2 table. Where the determinant
+        # or the product of roots leaves float range, phi is the root of
+        # Python's correctly rounded int / int phi^2.
+        det = table.n11 * table.n22 - table.n12 * table.n21
+        denom = math.sqrt(row1) * math.sqrt(row2) * math.sqrt(col1) * math.sqrt(col2)
+        if denom < math.inf and abs(det) <= sys.float_info.max:
+            phi = det / denom
+        else:
+            phi = math.sqrt(det * det / (row1 * row2 * col1 * col2)) * (-1 if det < 0 else 1)
+        self.measures = AssociationMeasures(phi, math.sqrt(x2 / (x2 + n)), phi)
 
 
 def _battery_columns(n11: Sequence[int], row1: Sequence[int], col1: Sequence[int],

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import re
@@ -33,6 +34,11 @@ from oracles import chi_square_sf_quadrature, normal_sf_oracle
 
 TEA_PERFECT = make_table(4, 0, 0, 4)
 TEA_THREE = make_table(3, 1, 1, 3)
+# Tables whose phi leaves float range on the way: on the first the
+# determinant itself passes the largest float, on the second only the
+# product of the marginals' roots does.
+_HUGE_DIAGONAL = (10**154, 1, 1, 10**300)
+_HUGE_OFF_DIAGONAL = (1, 10**154, 10**154, 10**300)
 
 
 class TestChiSquareFamily:
@@ -366,7 +372,7 @@ class TestBattery:
             assert tails.count(x2) == 1
 
     @pytest.mark.parametrize("cells", [(3, 1, 1, 3), (0, 5, 7, 30), (0, 0, 2, 3), (4, 0, 0, 4),
-                                       (1, 0, 0, 0)])
+                                       (1, 0, 0, 0), _HUGE_DIAGONAL, _HUGE_OFF_DIAGONAL])
     def test_results_are_none_exactly_where_noted(self, cells):
         table = make_table(*cells)
         tests = asymptotic.Battery(table)
@@ -383,14 +389,30 @@ class TestBattery:
             else:
                 assert result == view(table)
 
-    def test_reading_one_test_evaluates_no_other(self):
-        # X^2, G^2 and t, which every caller reads, are taken at construction;
-        # the tests only the report reads stay lazy.
-        tests = asymptotic.Battery(make_table(3, 1, 1, 3))
-        assert {"expected", "pearson", "g2", "t_test"} <= set(vars(tests))
-        assert {"yates", "mantel_haenszel", "measures"}.isdisjoint(vars(tests))
-        tests.yates
-        assert {"mantel_haenszel", "measures"}.isdisjoint(vars(tests))
+    def test_every_result_is_taken_at_construction(self):
+        # Every caller of one table reads all six results, so each is a plain
+        # attribute from construction on: None exactly where a note names it.
+        for cells in ((3, 1, 1, 3), (0, 5, 7, 30), (0, 0, 2, 3)):
+            tests = asymptotic.Battery(make_table(*cells))
+            results = ("pearson", "g2", "yates", "mantel_haenszel", "t_test", "measures")
+            assert {"expected", *results} <= set(vars(tests))
+            assert {name for name in results if vars(tests)[name] is None} == set(tests.notes)
+
+    @pytest.mark.parametrize("cells", [_HUGE_DIAGONAL, _HUGE_OFF_DIAGONAL])
+    def test_measures_past_float_range_match_mpmath(self, cells):
+        # Each table's determinant or product of roots leaves float range:
+        # phi rounds to 1 on the first and is -1e-146 on the second.
+        import mpmath
+
+        table = make_table(*cells)
+        m = association_measures(table)
+        with mpmath.workdps(50):
+            n11, n12, n21, n22 = map(mpmath.mpf, cells)
+            phi = (n11 * n22 - n12 * n21) / mpmath.sqrt((n11 + n12) * (n21 + n22) * (n11 + n21) * (n12 + n22))
+            cc = mpmath.sqrt(phi**2 / (1 + phi**2))  # X^2 = N phi^2 on a 2x2 table
+            assert m.phi == pytest.approx(float(phi), rel=4 * 2.0**-53, abs=0)
+            assert m.cramers_v == m.phi
+            assert m.contingency_coefficient == pytest.approx(float(cc), rel=16 * 2.0**-53, abs=0)
 
 
 @st.composite
@@ -475,6 +497,31 @@ def test_battery_columns_equal_battery_on_a_seeded_batch():
     # independence and tables far from it; and N past 2**63.
     assert min(statistics) < 3.0 < max(statistics)
     assert sum(n >= 2**63 for *_, n in tables) >= 500
+
+
+def test_battery_bits_are_pinned():
+    # Every field of Battery on 3,005 tables, N past 2**63 among them, and
+    # on small and degenerate ones: the expected cells, each result's
+    # statistic, df and p-value, the measures and the notes. The digest was
+    # taken while Yates, Mantel-Haenszel and the measures were still
+    # computed on first access; computing them at construction moves no bit.
+    def bits(value):
+        return value.hex() if isinstance(value, float) else repr(value)
+
+    tables = [make_table(n11, row1 - n11, col1 - n11, n - row1 - col1 + n11)
+              for n11, row1, col1, n in _seeded_tables(7, 3000)]
+    tables += [make_table(*c) for c in ((0, 0, 2, 3), (4, 0, 0, 4), (1, 0, 0, 0), (0, 5, 7, 30), (3, 1, 1, 3))]
+    sha = hashlib.sha256()
+    for table in tables:
+        tests = asymptotic.Battery(table)
+        fields = list(tests.expected.cells)
+        for result in (tests.pearson, tests.g2, tests.yates, tests.mantel_haenszel, tests.t_test):
+            fields += [None] if result is None else [result.statistic, result.df, result.p_value]
+        m = tests.measures
+        fields += [None] if m is None else [m.phi, m.contingency_coefficient, m.cramers_v]
+        sha.update(" ".join(map(bits, fields)).encode())
+        sha.update(repr(sorted(tests.notes.items())).encode())
+    assert sha.hexdigest() == "4db3705abc0971d3fe4d814c0892648695c8a7159a54c1be81e1bc8f8f2f163e"
 
 
 def test_statistics_match_exact_arithmetic_on_a_seeded_batch():
