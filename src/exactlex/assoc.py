@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import asymptotic
 from .corpus import BigramCounts
 from .errors import NoObservationsError
@@ -83,9 +85,11 @@ def association_scan(
     Exactly one of fixed_second / fixed_first selects the fixed slot; the
     record's word is the varying slot. Results are ordered by exact-test rank.
 
-    Each partner's table is read straight from `counts` as a column of
-    `report._score_columns`, which scores each distinct table once; a NaN
-    there, a refused test, becomes None.
+    Each partner's table is read straight from `counts` into one int64 row
+    of cells for `report._score_columns`, which scores each distinct table
+    once and checks its cells; a NaN there, a refused test, becomes None.
+    A count that is not an int raises TypeError, and one past 2**63 - 1
+    OverflowError.
     """
     if (fixed_second is None) == (fixed_first is None):
         raise ValueError("exactly one of fixed_second or fixed_first is required")
@@ -99,10 +103,14 @@ def association_scan(
     # pairs differ only in the partner, so they sort by it.
     pairs = sorted(pair for pair, c in counts.pair_counts.items() if pair[slot] == fixed and c >= min_count)
     n11s = [counts.pair_counts[pair] for pair in pairs]
-    columns = _score_columns(n11s, [marginals[0].get(w1, 0) for w1, _ in pairs],
-                             [marginals[1].get(w2, 0) for _, w2 in pairs], [counts.total_bigrams] * len(pairs))
+    row1 = [marginals[0].get(w1, 0) for w1, _ in pairs]
+    col1 = [marginals[1].get(w2, 0) for _, w2 in pairs]
+    if {int} != set(map(type, [*n11s, *row1, *col1, counts.total_bigrams])):
+        raise TypeError("every bigram count must be an integer of type int")
+    n11, row1, col1 = np.array([n11s, row1, col1], dtype=np.int64)
+    columns, index = _score_columns(np.column_stack((n11, row1 - n11, col1 - n11)), counts.total_bigrams)
     records = []
-    for pair, n11, column in zip(pairs, n11s, columns.T.tolist()):
+    for pair, n11, column in zip(pairs, n11s, columns.T[index].tolist()):
         left, right, two, x2, g2, t, point, m11 = (None if p != p else p for p in column)
         records.append(AssociationRecord(
             pair[1 - slot], n11, m11, left, right, two, point, g2, x2, t,

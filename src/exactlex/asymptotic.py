@@ -22,7 +22,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import index, sub
+from operator import index
 
 import numpy as np
 
@@ -186,22 +186,15 @@ def _battery_columns(n11: Sequence[int], row1: Sequence[int], col1: Sequence[int
                      n_total: Sequence[int]) -> dict[str, np.ndarray]:
     """Battery's expected n11 and its X^2, G^2 and t p-values for the tables
     (n11, row1, col1, N), given as four equal-length sequences of Python
-    ints (so N may pass 2**63): one float64 row per name ("m11", "x2", "g2",
-    "t") with one value per table, NaN where Battery gives None.
+    ints (so N may pass 2**63) that `ContingencyTable2x2` accepts: one
+    float64 row per name ("m11", "x2", "g2", "t") with one value per table,
+    NaN where Battery gives None.
 
     Each value is Battery's, being `_statistics` of the table and then
     `chi_square_sf(x, 1)` of X^2 and G^2 and `normal_sf` of t where they
-    are defined. A table that `ContingencyTable2x2` refuses (a cell not an
-    int, a negative cell, or no observations) is built as one, so the first
-    such raises its error.
+    are defined. The tables are not checked here: `report._score_columns`
+    checks its cells before it calls.
     """
-    n12, n21 = list(map(sub, row1, n11)), list(map(sub, col1, n11))
-    cells = (n11, n12, n21, list(map(sub, map(sub, n_total, row1), n21)))
-    # Nonnegative cells sum to N, so they are all zero exactly where N is.
-    if n11 and ({int} != set(map(type, chain(*cells))) or min(map(min, cells)) < 0
-                or 0 in n_total):
-        for table in zip(*cells):
-            ContingencyTable2x2(*table)
     statistics = chain.from_iterable(map(_statistics, n11, row1, col1, n_total))
     rows = np.fromiter(statistics, np.float64, 4 * len(n11)).reshape(-1, 4).T
     m11, x2, g2, t = rows

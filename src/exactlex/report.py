@@ -4,8 +4,9 @@ by the statistics list, sample size, and a small-expected-count warning.
 Each block of the report is one `%` template, whose variable column widths
 are `%*` fields; the values keep Python's correctly rounded half-even
 formatting, the same digits an f-string gives.
-`_score_columns` gives the same tests' p-values over many tables, as rows
-in SCORE_ROWS order, to `assoc` and `simulate`. The report's `Battery` and
+`_score_columns` gives the same tests' p-values over many tables of one N,
+taken as an int64 array of cells, as rows in SCORE_ROWS order with one
+column per distinct table, to `assoc` and `simulate`. The report's `Battery` and
 the scorer's `asymptotic._battery_columns` read X^2, G^2 and t from one
 per-table formula, `asymptotic._statistics`; the report's `fisher_exact`
 takes one table and the scorer's `exact._fisher_batch` all of them at once,
@@ -13,7 +14,7 @@ to the same bits."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from itertools import repeat
 
 import numpy as np
 
@@ -53,34 +54,50 @@ def compute_all(table: ContingencyTable2x2) -> dict:
     return results
 
 
-def _score_columns(n11: Sequence[int], row1: Sequence[int], col1: Sequence[int],
-                   n_total: Sequence[int]) -> np.ndarray:
-    """The scores of the tables (n11, row1, col1, N), given as four
-    equal-length sequences of Python ints, as a float64 array with one
-    column per table and one row per name in SCORE_ROWS: Fisher's left,
-    right and two-sided p, the X^2, G^2 and t p-values, Fisher's point
-    probability and the expected n11. A test the table refuses gives NaN.
+def _score_columns(cells: np.ndarray, n_total: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scores of the tables (n11, n12, n21) of N = n_total observations,
+    given as the rows of an int64 array of shape (tables, 3), each row
+    contiguous, and a Python int N of at most 2**63 - 1: a float64 array
+    with one column per distinct table and one row per name in SCORE_ROWS
+    (Fisher's left, right and two-sided p, the X^2, G^2 and t p-values,
+    Fisher's point probability and the expected n11), and the index of each
+    table's column. A test the table refuses gives NaN, and an N past
+    2**63 - 1 raises OverflowError.
 
-    Word-pair and sampled tables repeat heavily, so each distinct table is
-    scored once. `asymptotic._battery_columns` validates the distinct tables
-    and takes their expected n11, X^2, G^2 and t in one call; then every
+    Word-pair and sampled tables repeat heavily, so the distinct tables are
+    found once, by `np.unique` over each row's 24 bytes, and scored once.
+    Their cells are checked in numpy, once per column; where that check
+    fails, each table is built as a `ContingencyTable2x2` in input order,
+    so the first one refused raises its error. The distinct tables go to
+    `asymptotic._battery_columns` as Python ints, so row1 * col1 may pass
+    2**63, for their expected n11, X^2, G^2 and t in one call; then every
     distinct marginal goes to `exact._fisher_batch` in one call, which
     chooses how each is enumerated, and tables with equal marginals share
     its enumeration.
     """
-    keys = list(zip(n_total, row1, col1, n11))
-    if not keys:
-        return np.empty((len(SCORE_ROWS), 0))
-    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    n, r1, c1, k = zip(*index)
-    rows = asymptotic._battery_columns(k, r1, c1, n)
+    keys, index = np.unique(cells.view(np.dtype((np.void, 24))).ravel(), return_inverse=True)
+    distinct = keys.view(np.int64).reshape(-1, 3)
+    n11, n12, n21 = distinct.T
+    row1, col1 = n11 + n12, n11 + n21
+    # An N of another type than int gives an n22 the table type refuses. A
+    # sum of two nonnegative int64 cells wraps only past 2**63, to a negative
+    # value; the cells then sum to at most N where n21 <= N - row1. N is
+    # taken as an int64 there, which raises OverflowError past 2**63 - 1
+    # under numpy 1's casting rules as under numpy 2's.
+    if not (type(n_total) is int and n_total >= 1 and distinct.min(initial=0) >= 0
+            and row1.min(initial=0) >= 0 and (n21 <= np.int64(n_total) - row1).all()):
+        for table in cells.tolist():
+            ContingencyTable2x2(*table, n_total - sum(table))
+    k, r1, c1 = np.array([n11, row1, col1]).tolist()
+    rows = asymptotic._battery_columns(k, r1, c1, [n_total] * len(k))
     n11s: dict[tuple[int, int, int], list[int]] = {}
-    for key in index:
-        n11s.setdefault(key[:3], []).append(key[3])
+    for k11, row, col in zip(k, r1, c1):
+        n11s.setdefault((n_total, row, col), []).append(k11)
     fisher = _fisher_batch(n11s)
-    rows["left"], rows["right"], rows["two"], rows["point"] = zip(*(
-        (f.left_p, f.right_p, f.two_sided_p, f.point_p) for f in map(fisher.get, index)))
-    return np.array([rows[name] for name in SCORE_ROWS], dtype=np.float64)[:, [index[key] for key in keys]]
+    rows["left"], rows["right"], rows["two"], rows["point"] = np.array([
+        (f.left_p, f.right_p, f.two_sided_p, f.point_p)
+        for f in map(fisher.get, zip(repeat(n_total), r1, c1, k))]).reshape(-1, 4).T
+    return np.array([rows[name] for name in SCORE_ROWS]), index
 
 
 # The grid and the statistics header, one template with a block per row of

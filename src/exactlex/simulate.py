@@ -141,14 +141,15 @@ def calibration(
     the exact test (whose p-values are 1 there) and are excluded from the
     asymptotic tallies, per each test's own error rules.
 
-    Each distinct draw is scored once: the draws are told apart by
-    `np.unique`, whose inverse maps each trial to its distinct draw, and
-    their tables go to `report._score_columns`, whose first six rows (left,
-    right, two, x2, g2, t) are the p-values of the tests in TEST_NAMES
-    order. Each test's tally then comes from its row of p-values over the
-    trials in draw order: its valid trials are the non-NaN values, and its
-    p-value sum is the last of their `np.cumsum`, which adds left to right,
-    so it is the same float sum as scoring trial by trial.
+    The draws' first three cells are copied out of numpy's draw and go to
+    `report._score_columns`. It scores each distinct draw once, in rows
+    whose first six (left, right, two, x2, g2, t) are the p-values of the
+    tests in TEST_NAMES order, and its inverse index maps each trial to its
+    draw.
+    Each test's tally then comes from its row of p-values over the trials
+    in draw order: its valid trials are the non-NaN values, and its p-value
+    sum is the last of their `np.cumsum`, which adds left to right, so it
+    is the same float sum as scoring trial by trial.
     """
     _check_size("sample size", n_total)
     _check_size("trials", trials, _MAX_TRIALS)
@@ -159,15 +160,12 @@ def calibration(
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    # A draw is its first three cells, n22 being n_total less them: one
-    # 24-byte void value per trial, which np.unique sorts as bytes.
+    # A draw is its first three cells, n22 being n_total less them. They are
+    # copied out here, so that the four-cell draw is freed before scoring
+    # starts: CPython 3.10 would keep a view passed as the argument, and the
+    # draw under it, alive until the call returns.
     cells = np.ascontiguousarray(rng.multinomial(n_total, model.probs, size=trials)[:, :3])
-    distinct, order = np.unique(cells.view(np.dtype((np.void, 3 * cells.itemsize))).ravel(),
-                                return_inverse=True)
-    n11, n12, n21 = distinct.view(np.int64).reshape(-1, 3).T
-    # Each marginal is at most n_total, an int64, so no sum below wraps.
-    p_values = _score_columns(n11.tolist(), (n11 + n12).tolist(), (n11 + n21).tolist(),
-                              [n_total] * len(distinct))
+    p_values, order = _score_columns(cells, n_total)
 
     tallies = {}
     for name, row in zip(TEST_NAMES, p_values):

@@ -123,6 +123,24 @@ def test_scan_of_counts_that_are_not_ints_raises_type_error(field, kind):
             association_scan(counts, **fixed_slot)
 
 
+@pytest.mark.parametrize("n11, row1, col1, total", [
+    (1, 2**63, 1, 2**63 + 1),  # row1 past int64
+    (1, 1, 2**63, 2**63 + 1),  # col1 past int64
+    (2**63, 2**63, 2**63, 2**63),  # every count past it
+    (1, 1, 1, 2**63),  # only the number of bigrams past it
+])
+def test_scan_of_a_count_past_int64_raises(n11, row1, col1, total, monkeypatch):
+    # Each is a valid table, yet its counts are scored as int64, so a count
+    # past 2**63 - 1 is refused before any test is taken.
+    counts = BigramCounts(Counter({("a", "x"): n11}), Counter({"a": row1}), Counter({"x": col1}), total)
+    scored = []
+    monkeypatch.setattr(asymptotic, "_battery_columns", lambda *columns: scored.append(columns))
+    for fixed_slot in ({"fixed_second": "x"}, {"fixed_first": "a"}):
+        with pytest.raises(OverflowError):
+            association_scan(counts, **fixed_slot)
+    assert scored == []
+
+
 def test_scan_fixed_first_mode():
     tokens = "oil price oil price oil shock gas price".split()
     records = association_scan(count_bigrams(tokens), fixed_first="oil")

@@ -334,7 +334,7 @@ class TestAssociationMeasures:
 
 def _score(table):
     """What `assoc` and `simulate` read of one table: its column of `_score_columns`."""
-    return _score_columns([table.n11], [table.row1], [table.col1], [table.total])
+    return _score_columns(np.array([table.cells[:3]]), table.total)
 
 
 class TestBattery:
@@ -418,12 +418,13 @@ class TestBattery:
 @st.composite
 def _table_lists(draw):
     """Cells of tables from up to four marginals (N, row1, col1), N from 1 to
-    past 2**63 and no support wider than 301 points. Each marginal gives
-    its support's low end, n11 = 0 where it can be, and up to three other
-    n11; some tables are then repeated, and all are shuffled."""
+    2**63 - 1 (so row1 * col1 may pass 2**63) and no support wider than 301
+    points. Each marginal gives its support's low end, n11 = 0 where it can
+    be, and up to three other n11; some tables are then repeated, and all
+    are shuffled."""
     cells = []
     for _ in range(draw(st.integers(1, 4))):
-        n = draw(st.one_of(st.integers(1, 2000), st.integers(2**63 - 2, 2**64)))
+        n = draw(st.one_of(st.integers(1, 2000), st.integers(2**63 - 3, 2**63 - 1)))
         edge = draw(st.integers(0, min(n, 300)))
         row1, col1 = draw(st.sampled_from((edge, n - edge))), draw(st.integers(0, n))
         lo, hi = max(0, row1 + col1 - n), min(row1, col1)
@@ -434,15 +435,20 @@ def _table_lists(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(cells=_table_lists())
-@example(cells=[(0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0, 1), (0, 5, 7, 2**64), (3, 2**63, 0, 1),
-                (0, 5, 7, 2**64)])
+@example(cells=[(0, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0, 1), (3, 2**62, 0, 2**62 - 4)])
 def test_score_columns_equal_each_table_scored_alone(cells):
-    # Every value is fisher_exact's or Battery's to the bit, and NaN lies
-    # exactly where Battery gives None.
+    # One call per N. Every value is fisher_exact's or Battery's to the bit,
+    # NaN lies exactly where Battery gives None, and each distinct table has
+    # one column.
     tables = [make_table(*c) for c in cells]
-    columns = _score_columns(*zip(*((t.n11, t.row1, t.col1, t.total) for t in tables)))
-    assert columns.dtype == np.float64 and columns.shape == (len(SCORE_ROWS), len(tables))
-    for table, column in zip(tables, columns.T.tolist()):
+    scored = []
+    for n in {t.total for t in tables}:
+        of_n = [t for t in tables if t.total == n]
+        columns, index = _score_columns(np.array([t.cells[:3] for t in of_n], dtype=np.int64), n)
+        assert columns.dtype == np.float64 and columns.shape == (len(SCORE_ROWS), len(set(of_n)))
+        scored += zip(of_n, columns.T[index].tolist())
+    assert len(scored) == len(tables)
+    for table, column in scored:
         fisher, tests = fisher_exact(table), asymptotic.Battery(table)
         asymptotic_p = (None if r is None else r.p_value for r in (tests.pearson, tests.g2, tests.t_test))
         want = (fisher.left_p, fisher.right_p, fisher.two_sided_p, *asymptotic_p, fisher.point_p,
@@ -452,16 +458,36 @@ def test_score_columns_equal_each_table_scored_alone(cells):
 
 
 def test_score_columns_of_no_tables():
-    assert _score_columns([], [], [], []).shape == (len(SCORE_ROWS), 0)
+    columns, index = _score_columns(np.empty((0, 3), dtype=np.int64), 10)
+    assert columns.shape == (len(SCORE_ROWS), 0) and index.shape == (0,)
 
 
 def test_score_columns_refuse_the_first_table_the_table_type_refuses():
-    # (5, 3, 9, 10) has n12 = -2, and (0, 0, 0, 0) is empty: the first raises,
-    # with ContingencyTable2x2's own error and message.
+    # (5, -2, 4) has n12 = -2 and (1, 1, 1) of N = 0 has n22 = -3: the first
+    # raises, with ContingencyTable2x2's own error and message; and so does
+    # the empty table of N = 0.
     with pytest.raises(NegativeCountError, match="^n12 must be nonnegative, got -2$"):
-        _score_columns([1, 5, 0], [2, 3, 0], [2, 9, 0], [10, 10, 0])
+        _score_columns(np.array([[1, 1, 1], [5, -2, 4], [0, 0, 0]]), 10)
+    with pytest.raises(NegativeCountError, match="^n22 must be nonnegative, got -3$"):
+        _score_columns(np.array([[1, 1, 1], [0, 0, 0]]), 0)
     with pytest.raises(EmptyTableError, match="^empty table: all four cells are zero$"):
-        _score_columns([1, 0], [2, 0], [2, 0], [10, 0])
+        _score_columns(np.array([[0, 0, 0]]), 0)
+    # N must be a Python int, or n22 = N - n11 - n12 - n21 would not be one.
+    with pytest.raises(TypeError, match="^n22 must be an integer, got "):
+        _score_columns(np.array([[1, 1, 1]]), np.int64(10))
+
+
+@pytest.mark.parametrize("cells, n, message", [
+    # (2, -1, 0) sorts before (5, -2, 4) as bytes, yet the table first in the
+    # array is the one that raises.
+    ([[1, 1, 1], [5, -2, 4], [2, -1, 0], [1, 1, 1]], 10, "n12 must be nonnegative, got -2"),
+    ([[1, 1, 1], [4, 3, 4], [1, 1, 1]], 10, "n22 must be nonnegative, got -1"),
+    # Each cell fits in int64, but n11 + n12 wraps there.
+    ([[0, 0, 0], [2**62, 2**62, 1], [-1, 0, 0]], 2**63 - 1, "n22 must be nonnegative, got -2"),
+])
+def test_score_columns_raise_for_a_refused_table_in_the_middle(cells, n, message):
+    with pytest.raises(NegativeCountError, match=f"^{re.escape(message)}$"):
+        _score_columns(np.array(cells, dtype=np.int64), n)
 
 
 def _seeded_tables(seed, count):
